@@ -1,10 +1,9 @@
 #include "align/batch_server.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "align/query_cache.hpp"
-#include "core/dispatch.hpp"
-#include "perf/metrics.hpp"
 #include "perf/timer.hpp"
 #include "simd/cpu.hpp"
 
@@ -12,72 +11,92 @@ namespace swve::align {
 
 namespace engine {
 
-int batch_server_lanes() {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-  if (simd::resolve_isa(simd::Isa::Auto) == simd::Isa::Avx512 &&
-      simd::cpu_features().avx512vbmi)
-    return 64;
-#endif
-  return 32;
-}
-
 std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
                                         const core::Batch32Db& bdb,
                                         const core::AlignConfig& cfg,
                                         const std::vector<seq::Sequence>& queries,
                                         size_t top_k, const ExecContext& ctx) {
   std::vector<BatchQueryResult> out(queries.size());
+  if (queries.empty()) return out;
+  core::check_batch_scan(cfg, bdb);
 
-  auto run_query = [&](size_t qi) {
-    perf::Stopwatch sw;
-    obs::Span span(ctx.trace, "chunk.batch_query");
-    const simd::Isa isa = simd::resolve_isa(cfg.isa);
-    // batch_scores groups batches at the resolved interleave depth; key the
-    // span (and its PMU attribution cell) to that per-K kernel variant.
-    const int k_ilp = core::resolved_ilp(isa);
-    span.set_kernel(perf::batch_kernel_variant(k_ilp));
-    span.set_ilp(static_cast<uint8_t>(k_ilp));
-    span.set_index(qi);
-    span.set_isa(isa);
-    span.set_width_bits(8);
-    span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
-    BatchQueryResult& r = out[qi];
-    const seq::Sequence& q = queries[qi];
-    r.result.query_length = q.length();
-    r.result.db_residues = db.total_residues();
-    if (ctx.should_stop()) {  // per-query cancellation/deadline check
-      r.result.truncated = true;
-      span.set_trunc(ctx.cancelled() ? obs::TruncCause::Cancelled
-                                     : obs::TruncCause::Deadline);
-      return;
-    }
+  // Per-query accumulators, fed by whichever slots scan the query's units.
+  struct QueryRun {
     std::shared_ptr<const core::PreparedQuery> prep;
-    if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(q, cfg);
-    auto lease = QueryStateCache::lease(ctx.query_cache);
-    core::Workspace& ws = lease.ws();
-    std::vector<int> scores =
-        core::batch_scores(q, bdb, db, cfg, ws, &r.batch_stats, prep.get());
-    // Top-k over the score vector (index order => deterministic ties).
-    std::vector<Hit> hits;
-    for (size_t s = 0; s < scores.size(); ++s)
-      if (scores[s] > 0)
-        hits.push_back(Hit{static_cast<uint32_t>(s), scores[s], -1, -1});
-    std::sort(hits.begin(), hits.end());
-    if (hits.size() > top_k) hits.resize(top_k);
-    r.result.hits = std::move(hits);
-    r.result.stats.cells = r.batch_stats.cells8 + r.batch_stats.rescored_cells;
-    r.result.stats.vector_cells = r.batch_stats.cells8;
-    span.add_cells(r.result.stats.cells);
-    span.set_useful_cells(r.batch_stats.useful_cells8 +
-                          r.batch_stats.rescored_cells);
-    r.result.seconds = sw.seconds();
+    std::mutex mu;
+    TopK top{0};
+    core::BatchSearchStats stats;
+    size_t units_done = 0;
+    double seconds = 0;
   };
+  std::vector<QueryRun> runs(queries.size());
+  std::vector<size_t> by_length(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    if (ctx.query_cache != nullptr)
+      runs[qi].prep = ctx.query_cache->prepared(queries[qi], cfg);
+    runs[qi].top = TopK(top_k);
+    by_length[qi] = qi;
+  }
+  // Tiles are (query, unit) pairs, claimed longest query first and, within
+  // a query, costliest unit first: a long query's scan spreads over every
+  // worker instead of setting the batch's wall time on one.
+  std::stable_sort(by_length.begin(), by_length.end(), [&](size_t a, size_t b) {
+    return queries[a].length() > queries[b].length();
+  });
+  // Every query brings a full set of units, so each needs a share of the
+  // slots only to keep the tile count up.
+  const BatchScan scan{db, bdb, cfg, ctx, top_k};
+  const size_t slots = ctx.pool ? ctx.pool->size() : 1;
+  const ScanUnits units =
+      scan.units(bdb.cost_order(), (slots + queries.size() - 1) / queries.size());
+  parallel::WorkCursor cursor(units.count() * queries.size());
 
-  if (ctx.pool) {
-    ctx.pool->parallel_chunks(queries.size(),
-                              [&](size_t qi, unsigned) { run_query(qi); });
-  } else {
-    for (size_t qi = 0; qi < queries.size(); ++qi) run_query(qi);
+  auto run_slot = [&](unsigned slot) {
+    obs::Span span(ctx.trace, "chunk.batch_run");
+    span.set_index(slot);
+    scan.label(span);
+    auto lease = QueryStateCache::lease(ctx.query_cache);
+    core::BatchSearchStats slot_stats{};
+    std::vector<core::LaneScore> lanes;
+    for (size_t t; cursor.claim(t);) {
+      if (ctx.should_stop()) {  // per-tile cancellation/deadline check
+        span.set_trunc(ctx.stop_cause());
+        break;
+      }
+      perf::Stopwatch sw;
+      const size_t qi = by_length[t / units.count()];
+      QueryRun& run = runs[qi];
+      core::BatchSearchStats stats{};
+      lanes.clear();
+      core::scan_batches(queries[qi], bdb, db, units[t % units.count()], cfg,
+                         lease.ws(), run.prep.get(), lanes, stats);
+      slot_stats += stats;
+      std::lock_guard<std::mutex> lk(run.mu);
+      for (const core::LaneScore& l : lanes)
+        run.top.offer(Hit{l.seq_index, l.score, -1, -1});
+      run.stats += stats;
+      ++run.units_done;
+      run.seconds += sw.seconds();
+    }
+    span.add_cells(slot_stats.cells8 + slot_stats.rescored_cells);
+    span.set_useful_cells(slot_stats.useful_cells8 + slot_stats.rescored_cells);
+  };
+  if (ctx.pool)
+    ctx.pool->fan_out(run_slot);
+  else
+    run_slot(0);
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    QueryRun& run = runs[qi];
+    SearchResult& r = out[qi].result;
+    r.query_length = queries[qi].length();
+    r.db_residues = db.total_residues();
+    r.truncated = run.units_done < units.count();
+    r.stats.cells = run.stats.cells8 + run.stats.rescored_cells;
+    r.stats.vector_cells = run.stats.cells8;
+    r.seconds = run.seconds;
+    if (!r.truncated) r.hits = std::move(run.top).sorted();
+    out[qi].batch_stats = run.stats;
   }
   return out;
 }
@@ -85,7 +104,9 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
 }  // namespace engine
 
 BatchServer::BatchServer(const seq::SequenceDatabase& db, AlignConfig cfg)
-    : db_(&db), cfg_(cfg), bdb_(db, engine::batch_server_lanes()) {
+    : db_(&db),
+      cfg_(cfg),
+      bdb_(db, core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto))) {
   cfg_.validate();
   cfg_.traceback = false;
 }

@@ -2,8 +2,9 @@
 // them against a shared database. The database is packed once into
 // transposed 32/64-lane batches (Fig 5); each query is scored by the
 // inter-sequence 8-bit kernel with exact 16/32-bit re-scoring of saturated
-// lanes; queries fan out across threads. The paper found this batching
-// "enhances computational efficiency by a factor of two in some cases".
+// lanes; (query, unit) tiles fan out across threads. The paper found this
+// batching "enhances computational efficiency by a factor of two in some
+// cases".
 //
 // Like scenario 1, the scoring loop lives in the stateless `engine`
 // namespace so the synchronous BatchServer facade and the async
@@ -26,17 +27,17 @@ namespace engine {
 
 /// Stateless scenario-2 engine: score every query against the packed
 /// database; one top-k result per query, in query order (deterministic for
-/// any pool size). Cancellation/deadline is honored at per-query
-/// granularity: remaining queries come back with `result.truncated` set.
+/// any pool size). The pool's slots claim (query, unit) tiles of one
+/// BatchScan, longest query and costliest unit first, so one long query
+/// does not leave the other workers idle. A query's `result.seconds` is
+/// the worker time its tiles took. Cancellation/deadline is honored per
+/// tile: every query not fully scanned comes back with `result.truncated`
+/// set and no hits.
 std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
                                         const core::Batch32Db& bdb,
                                         const core::AlignConfig& cfg,
                                         const std::vector<seq::Sequence>& queries,
                                         size_t top_k, const ExecContext& ctx);
-
-/// Widest batch-kernel lane count this CPU supports (64 with
-/// AVX-512-VBMI, else 32).
-int batch_server_lanes();
 
 }  // namespace engine
 

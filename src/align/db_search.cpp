@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 
 #include "align/query_cache.hpp"
@@ -15,36 +14,6 @@ namespace swve::align {
 
 namespace {
 
-/// Keep the k best hits of a range scanned in index order.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-  void offer(const Hit& h) {
-    if (h.score <= 0) return;
-    hits_.push_back(h);
-    std::push_heap(hits_.begin(), hits_.end());  // max-heap on operator<,
-    if (hits_.size() > k_) {                     // i.e. worst hit at front
-      std::pop_heap(hits_.begin(), hits_.end());
-      hits_.pop_back();
-    }
-  }
-  std::vector<Hit> sorted() && {
-    std::sort(hits_.begin(), hits_.end());
-    return std::move(hits_);
-  }
-
- private:
-  size_t k_;
-  std::vector<Hit> hits_;
-};
-
-int batch_lanes() {
-  return simd::resolve_isa(simd::Isa::Auto) == simd::Isa::Avx512 &&
-                 simd::cpu_features().avx512vbmi
-             ? 64
-             : 32;
-}
-
 uint16_t width_bits(core::Width w) {
   switch (w) {
     case core::Width::W8: return 8;
@@ -55,14 +24,87 @@ uint16_t width_bits(core::Width w) {
   return 0;
 }
 
-obs::TruncCause trunc_cause(const ExecContext& ctx) {
-  return ctx.cancelled() ? obs::TruncCause::Cancelled
-                         : obs::TruncCause::Deadline;
-}
-
 }  // namespace
 
 namespace engine {
+
+void TopK::offer(const Hit& h) {
+  if (h.score <= 0) return;
+  hits_.push_back(h);
+  std::push_heap(hits_.begin(), hits_.end());
+  if (hits_.size() > k_) {
+    std::pop_heap(hits_.begin(), hits_.end());
+    hits_.pop_back();
+  }
+}
+
+std::vector<Hit> TopK::sorted() && {
+  std::sort(hits_.begin(), hits_.end());
+  return std::move(hits_);
+}
+
+void BatchScan::label(obs::Span& span) const {
+  // Per-K kernel variant: the PMU attribution cell (and the exported
+  // swve_pmu_* family) separates interleave depths, so IPC/backend-stall
+  // deltas across K stay visible in a live service.
+  span.set_kernel(perf::batch_kernel_variant(k));
+  span.set_ilp(static_cast<uint8_t>(k));
+  span.set_isa(isa);
+  span.set_width_bits(8);
+  span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
+}
+
+ScanUnits BatchScan::units(std::span<const uint32_t> order,
+                           size_t slots) const noexcept {
+  const size_t fill = order.size() / (kUnitsPerSlot * std::max<size_t>(slots, 1));
+  return ScanUnits{order, std::clamp<size_t>(fill, 1, static_cast<size_t>(k))};
+}
+
+void BatchScan::run_slot(seq::SeqView query, const core::PreparedQuery* prep,
+                         const ScanUnits& units, parallel::WorkCursor& cursor,
+                         core::Workspace& ws, ScanSlot& out,
+                         obs::Span& span) const {
+  label(span);
+  TopK top(top_k);
+  std::vector<core::LaneScore> lanes;
+  for (size_t u; cursor.claim(u);) {
+    if (ctx.should_stop()) {  // per-unit cancellation/deadline check
+      out.truncated = true;
+      span.set_trunc(ctx.stop_cause());
+      break;
+    }
+    lanes.clear();
+    core::scan_batches(query, bdb, db, units[u], cfg, ws, prep, lanes, out.stats);
+    out.batches += units[u].size();
+    for (const core::LaneScore& l : lanes)
+      top.offer(Hit{l.seq_index, l.score, -1, -1});
+  }
+  span.add_cells(out.stats.cells8 + out.stats.rescored_cells);
+  span.set_useful_cells(out.stats.useful_cells8 + out.stats.rescored_cells);
+  out.hits = std::move(top).sorted();
+}
+
+void BatchScan::finish(seq::SeqView query, const core::PreparedQuery* prep,
+                       std::span<const ScanSlot> slots, SearchResult& out) const {
+  TopK merged(top_k);
+  for (const ScanSlot& slot : slots) {
+    out.batch_stats += slot.stats;
+    out.truncated = out.truncated || slot.truncated;
+    for (const Hit& h : slot.hits) merged.offer(h);
+  }
+  if (out.truncated) return;  // partial answer; skip the exact re-alignment
+  out.hits = std::move(merged).sorted();
+  auto lease = QueryStateCache::lease(ctx.query_cache);
+  core::Workspace& ws = lease.ws();
+  for (Hit& h : out.hits) {
+    core::Alignment a = core::diag_align(query, db[h.seq_index], cfg, ws, prep);
+    h.end_query = a.end_query;
+    h.end_ref = a.end_ref;
+    out.stats += a.stats;
+  }
+  out.stats.cells += out.batch_stats.cells8 + out.batch_stats.rescored_cells;
+  out.stats.vector_cells += out.batch_stats.cells8;
+}
 
 SearchResult search_batch(const seq::SequenceDatabase& db,
                           const core::Batch32Db& bdb,
@@ -80,110 +122,22 @@ SearchResult search_batch(const seq::SequenceDatabase& db,
   std::shared_ptr<const core::PreparedQuery> prep;
   if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
 
-  // Phase 1: score every sequence through the batch kernel, batches fanned
-  // out across threads (disjoint writes by original sequence index).
-  std::vector<int> scores(db.size(), 0);
-  core::BatchSearchStats agg{};
-  std::mutex agg_mu;
-  std::atomic<bool> truncated{false};
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int k_ilp = core::resolved_ilp(isa);
-  auto score_batches = [&](size_t b_begin, size_t b_end) {
+  const BatchScan scan{db, bdb, cfg, ctx, top_k};
+  std::vector<ScanSlot> slots(ctx.pool ? ctx.pool->size() : 1);
+  const ScanUnits units = scan.units(bdb.cost_order(), slots.size());
+  parallel::WorkCursor cursor(units.count());
+  auto run_slot = [&](unsigned slot) {
     obs::Span span(ctx.trace, "chunk.search_batch");
-    // Per-K kernel variant: the PMU attribution cell (and the exported
-    // swve_pmu_* family) separates interleave depths, so IPC/backend-stall
-    // deltas across K stay visible in a live service.
-    span.set_kernel(perf::batch_kernel_variant(k_ilp));
-    span.set_ilp(static_cast<uint8_t>(k_ilp));
-    span.set_index(b_begin);
-    span.set_isa(isa);
-    span.set_width_bits(8);
-    span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
+    span.set_index(slot);
     auto lease = QueryStateCache::lease(ctx.query_cache);
-    core::Workspace& ws = lease.ws();
-    core::BatchSearchStats local{};
-    core::AlignConfig wide = cfg;
-    wide.width = core::Width::W16;
-    for (size_t b = b_begin; b < b_end;) {
-      if (ctx.should_stop()) {  // per-group cancellation/deadline check
-        truncated.store(true, std::memory_order_relaxed);
-        span.set_trunc(trunc_cause(ctx));
-        break;
-      }
-      // Feed up to k_ilp batches fused; the interleaved kernel keeps one
-      // dependency chain per batch in flight (bit-identical to K = 1).
-      const int group = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(k_ilp), b_end - b));
-      core::Batch32Db::Batch batch[core::kMaxBatchInterleave];
-      core::BatchCols cols[core::kMaxBatchInterleave];
-      core::Batch8Result r8[core::kMaxBatchInterleave];
-      for (int g = 0; g < group; ++g) {
-        batch[g] = bdb.batch(b + static_cast<size_t>(g));
-        cols[g] = core::BatchCols{batch[g].columns, batch[g].max_len};
-      }
-      core::batch32_align_u8_group(query, cols, group, bdb.lanes(), cfg, ws,
-                                   isa, k_ilp, r8);
-      for (int g = 0; g < group; ++g) {
-        local.cells8 += static_cast<uint64_t>(batch[g].max_len) *
-                        query.length * static_cast<uint64_t>(bdb.lanes());
-        local.useful_cells8 += batch[g].real_residues * query.length;
-        for (uint32_t k = 0; k < batch[g].count; ++k) {
-          const uint32_t seq_idx = batch[g].seq_index[k];
-          if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-            core::Alignment a =
-                core::diag_align(query, db[seq_idx], wide, ws, prep.get());
-            if (a.saturated) {
-              core::AlignConfig w32 = wide;
-              w32.width = core::Width::W32;
-              a = core::diag_align(query, db[seq_idx], w32, ws, prep.get());
-            }
-            scores[seq_idx] = a.score;
-            ++local.rescored;
-            local.rescored_cells += a.stats.cells;
-          } else {
-            scores[seq_idx] = r8[g].max_score[k];
-          }
-        }
-      }
-      b += static_cast<size_t>(group);
-    }
-    span.add_cells(local.cells8 + local.rescored_cells);
-    span.set_useful_cells(local.useful_cells8 + local.rescored_cells);
-    span.end();
-    std::lock_guard<std::mutex> lk(agg_mu);
-    agg += local;
+    scan.run_slot(query, prep.get(), units, cursor, lease.ws(), slots[slot],
+                  span);
   };
-  if (ctx.pool) {
-    ctx.pool->parallel_for(
-        bdb.batch_count(),
-        [&](size_t b, size_t e, unsigned) { score_batches(b, e); });
-  } else {
-    score_batches(0, bdb.batch_count());
-  }
-  out.truncated = truncated.load(std::memory_order_relaxed);
-  out.batch_stats = agg;
-  if (out.truncated) {  // partial answer; skip the exact re-alignment pass
-    out.seconds = sw.seconds();
-    return out;
-  }
-
-  // Phase 2: top-k over the score vector (index order => deterministic),
-  // then exact re-alignment of just the winners for end positions.
-  TopK top(top_k);
-  for (size_t s = 0; s < scores.size(); ++s)
-    top.offer(Hit{static_cast<uint32_t>(s), scores[s], -1, -1});
-  out.hits = std::move(top).sorted();
-  auto lease = QueryStateCache::lease(ctx.query_cache);
-  core::Workspace& ws = lease.ws();
-  for (Hit& h : out.hits) {
-    core::Alignment a =
-        core::diag_align(query, db[h.seq_index], cfg, ws, prep.get());
-    h.end_query = a.end_query;
-    h.end_ref = a.end_ref;
-    out.stats += a.stats;
-  }
-  out.stats.cells += agg.cells8 + agg.rescored_cells;
-  out.stats.vector_cells += agg.cells8;
+  if (ctx.pool)
+    ctx.pool->fan_out(run_slot);
+  else
+    run_slot(0);
+  scan.finish(query, prep.get(), slots, out);
   out.seconds = sw.seconds();
   return out;
 }
@@ -219,7 +173,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
     for (size_t s = begin; s < end; ++s) {
       if (ctx.should_stop()) {  // per-sequence cancellation/deadline check
         truncated.store(true, std::memory_order_relaxed);
-        span.set_trunc(trunc_cause(ctx));
+        span.set_trunc(ctx.stop_cause());
         break;
       }
       core::Alignment a = core::diag_align(query, db[s], cfg, ws, prep.get());
@@ -234,9 +188,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
   };
 
   if (ctx.pool) {
-    ctx.pool->parallel_for(parts, [&](size_t b, size_t e, unsigned) {
-      for (size_t p = b; p < e; ++p) run_part(static_cast<unsigned>(p));
-    });
+    ctx.pool->fan_out(run_part);
   } else {
     run_part(0);
   }
@@ -263,7 +215,8 @@ DatabaseSearch::DatabaseSearch(const seq::SequenceDatabase& db, AlignConfig cfg,
   if (mode_ == SearchMode::Batch) {
     if (cfg_.band >= 0)
       throw std::invalid_argument("DatabaseSearch: Batch mode cannot band");
-    bdb_ = std::make_unique<core::Batch32Db>(db, batch_lanes(), packing);
+    bdb_ = std::make_unique<core::Batch32Db>(
+        db, core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)), packing);
     packed_ = bdb_.get();
   }
 }

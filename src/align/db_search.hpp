@@ -1,11 +1,14 @@
-// Scenario 1: one query streamed against a sequence database, partitioned
-// across threads by residue count, with deterministic top-k merging.
+// Scenario 1: one query streamed against a sequence database, fanned out
+// across threads, with deterministic top-k merging.
 //
 // The actual search loops live in the stateless `engine` namespace: they
 // take the database, config, and an ExecContext (pool / cancellation /
 // deadline) explicitly, so both the synchronous DatabaseSearch facade and
 // the async service::AlignService drive the exact same code and get
-// bit-identical results.
+// bit-identical results. The batch path has one scan engine (BatchScan):
+// engine::search_batch, every ShardedSearch shard and engine::batch_run
+// all claim work from the packed database's costliest-first batch order
+// and score it with core::scan_batches.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include "align/aligner.hpp"
 #include "align/exec_context.hpp"
 #include "core/batch32.hpp"
+#include "core/dispatch.hpp"
 #include "core/error.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/database.hpp"
@@ -74,6 +78,80 @@ enum class SearchMode {
 
 namespace engine {
 
+/// Bounded top-k selection. Hit's order is strict and total (seq_index is
+/// unique), so the k survivors are one set whatever order hits are offered
+/// in: per-worker heaps merge into exactly the answer of a serial scan.
+class TopK {
+ public:
+  explicit TopK(size_t k) : k_(k) {}
+  void offer(const Hit& h);
+  std::vector<Hit> sorted() &&;
+
+ private:
+  size_t k_;
+  std::vector<Hit> hits_;  // max-heap on operator<: worst hit at the front
+};
+
+/// What one worker slot of a batch fan-out produced.
+struct ScanSlot {
+  std::vector<Hit> hits;  ///< the slot's top-k, best first
+  core::BatchSearchStats stats;
+  uint64_t batches = 0;   ///< batches scanned
+  bool truncated = false;  ///< stopped by cancellation/deadline
+};
+
+/// A costliest-first batch order cut into work units of `size`
+/// consecutive entries (the last one ragged). Unit u never costs more than
+/// unit u - 1, so claiming units in index order is LPT scheduling.
+struct ScanUnits {
+  std::span<const uint32_t> order;
+  size_t size = 1;
+
+  size_t count() const noexcept { return (order.size() + size - 1) / size; }
+  std::span<const uint32_t> operator[](size_t u) const noexcept {
+    return order.subspan(u * size, std::min(size, order.size() - u * size));
+  }
+};
+
+/// The batch scan engine: everything the slots of a batch fan-out share.
+/// Slots claim ScanUnits of a costliest-first batch order
+/// (core::Batch32Db::cost_order, or a shard's slice of it) from a
+/// parallel::WorkCursor, so the longest batches go first and every slot
+/// finishes within about one unit of the others. `cfg` must pass
+/// core::check_batch_scan; `prep`, where taken, is the query's
+/// PreparedQuery or null.
+struct BatchScan {
+  /// Fewer units than this per slot and the last unit claimed decides the
+  /// wall time; units then shrink below the interleave depth.
+  static constexpr size_t kUnitsPerSlot = 4;
+
+  const seq::SequenceDatabase& db;
+  const core::Batch32Db& bdb;
+  const core::AlignConfig& cfg;
+  const ExecContext& ctx;
+  size_t top_k;
+  simd::Isa isa = simd::resolve_isa(cfg.isa);
+  int k = core::resolved_ilp(isa);  ///< interleave depth, resolved once
+
+  /// Cuts `order` into units for `slots` workers: K batches each (one
+  /// fused kernel pass), or fewer when that would leave a slot fewer than
+  /// kUnitsPerSlot units. Results do not depend on the cut.
+  ScanUnits units(std::span<const uint32_t> order, size_t slots) const noexcept;
+  /// Labels `span` with the batch kernel (per-K variant, ISA, lanes).
+  void label(obs::Span& span) const;
+  /// Body of one slot of a one-query fan-out: claims units until none is
+  /// left or ctx stops, scoring each with core::scan_batches into the
+  /// slot's bounded heap. Labels `span` and adds the slot's cells to it.
+  void run_slot(seq::SeqView query, const core::PreparedQuery* prep,
+                const ScanUnits& units, parallel::WorkCursor& cursor,
+                core::Workspace& ws, ScanSlot& out, obs::Span& span) const;
+  /// Phase 2, after every slot has run: merge the slots' heaps, then
+  /// re-align only the winners exactly for end positions. A truncated scan
+  /// returns no hits. Fills everything in `out` but `seconds`.
+  void finish(seq::SeqView query, const core::PreparedQuery* prep,
+              std::span<const ScanSlot> slots, SearchResult& out) const;
+};
+
 /// Stateless scenario-1 engine, diagonal-kernel path. `cfg` must already be
 /// validated with traceback off. Deterministic for any pool size; honors
 /// ctx cancellation/deadline at per-sequence granularity.
@@ -81,9 +159,10 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
                              const core::AlignConfig& cfg, seq::SeqView query,
                              size_t top_k, const ExecContext& ctx);
 
-/// Stateless scenario-1 engine, batch32-kernel path. `bdb` is the database
-/// packed for the batch kernel (see core::Batch32Db); cancellation/deadline
-/// is honored at per-batch granularity.
+/// Stateless scenario-1 engine, batch32-kernel path: one BatchScan over
+/// ctx.pool (serial without one). `bdb` is the database packed for the
+/// batch kernel (see core::Batch32Db); cancellation/deadline is honored at
+/// per-unit granularity.
 SearchResult search_batch(const seq::SequenceDatabase& db,
                           const core::Batch32Db& bdb,
                           const core::AlignConfig& cfg, seq::SeqView query,

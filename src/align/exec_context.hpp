@@ -4,8 +4,9 @@
 // stateless: everything they need — the thread pool to fan out over, a
 // cooperative cancellation flag, a deadline — arrives in an ExecContext.
 // Cancellation/deadline is checked at sequence-chunk granularity: an engine
-// polls should_stop() between sequences (diagonal path) or between batches
-// (batch path) and returns early with the result marked truncated.
+// polls should_stop() between sequences (diagonal path) or between work
+// units of a few batches (batch path) and returns early with the result
+// marked truncated.
 #pragma once
 
 #include <atomic>
@@ -52,6 +53,10 @@ struct ExecContext {
   /// Polled by engines between chunks. Reads the clock only when a deadline
   /// is set, so the common (no-deadline) path costs one predictable branch.
   bool should_stop() const noexcept { return cancelled() || expired(); }
+  /// Why an engine stopped early (after should_stop() said so).
+  obs::TruncCause stop_cause() const noexcept {
+    return cancelled() ? obs::TruncCause::Cancelled : obs::TruncCause::Deadline;
+  }
 };
 
 }  // namespace swve::align

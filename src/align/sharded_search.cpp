@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 
 #include "align/query_cache.hpp"
@@ -14,36 +15,6 @@
 namespace swve::align {
 
 namespace {
-
-/// Keep the k best hits of a range scanned in index order (same bounded
-/// heap as db_search.cpp's; the merge relies on offer() being selection,
-/// not ordering — any insertion order yields the same k survivors).
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-  void offer(const Hit& h) {
-    if (h.score <= 0) return;
-    hits_.push_back(h);
-    std::push_heap(hits_.begin(), hits_.end());
-    if (hits_.size() > k_) {
-      std::pop_heap(hits_.begin(), hits_.end());
-      hits_.pop_back();
-    }
-  }
-  std::vector<Hit> sorted() && {
-    std::sort(hits_.begin(), hits_.end());
-    return std::move(hits_);
-  }
-
- private:
-  size_t k_;
-  std::vector<Hit> hits_;
-};
-
-obs::TruncCause trunc_cause(const ExecContext& ctx) {
-  return ctx.cancelled() ? obs::TruncCause::Cancelled
-                         : obs::TruncCause::Deadline;
-}
 
 std::atomic<int> g_shard_hint{0};
 
@@ -61,6 +32,7 @@ int shard_count_hint() noexcept {
 struct ShardedSearch::Shard {
   size_t first_batch = 0;
   size_t end_batch = 0;
+  std::vector<uint32_t> order;  // the shard's slice of the cost order
   uint64_t sequences = 0;
   uint64_t padded_residues = 0;
   int node = -1;
@@ -156,6 +128,9 @@ core::ErrorOr<std::unique_ptr<ShardedSearch>> ShardedSearch::create(
     auto shard = std::make_unique<Shard>();
     shard->first_batch = ranges[i].first;
     shard->end_batch = ranges[i].second;
+    for (uint32_t b : packed.cost_order())
+      if (b >= shard->first_batch && b < shard->end_batch)
+        shard->order.push_back(b);
     for (size_t b = shard->first_batch; b < shard->end_batch; ++b) {
       const auto batch = packed.batch(b);
       shard->sequences += batch.count;
@@ -238,23 +213,21 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   std::shared_ptr<const core::PreparedQuery> prep;
   if (ctx.query_cache != nullptr) prep = ctx.query_cache->prepared(query, cfg);
 
-  const seq::SequenceDatabase& db = *db_;
-  const core::Batch32Db& bdb = *packed_;
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
-  const int k_ilp = core::resolved_ilp(isa);
+  // Phase 1: every shard fans its own slice of the cost order out over
+  // its pinned pool, all shards concurrently; slots are laid out
+  // shard-major in one vector so phase 2 merges them like the flat path's.
+  const engine::BatchScan scan{*db_, *packed_, cfg, ctx, top_k};
   const size_t nshards = shards_.size();
-
-  // Phase 1: every shard scans its batch range concurrently, each worker
-  // folding lane scores into a bounded per-worker heap; heaps are merged
-  // per shard, then globally — selection under Hit's strict total order is
-  // partition-shape independent, so this equals the unsharded answer.
-  struct ShardRun {
-    std::vector<std::vector<Hit>> worker_hits;  // [worker] sorted top-k
-    core::BatchSearchStats stats;
-    std::mutex mu;
-  };
-  std::vector<ShardRun> runs(nshards);
-  std::atomic<bool> truncated{false};
+  std::vector<size_t> first_slot(nshards + 1, 0);
+  for (size_t si = 0; si < nshards; ++si)
+    first_slot[si + 1] = first_slot[si] + shards_[si]->pool->size();
+  std::vector<engine::ScanSlot> slots(first_slot[nshards]);
+  std::vector<engine::ScanUnits> units;
+  std::deque<parallel::WorkCursor> cursors;
+  for (const auto& shard : shards_) {
+    units.push_back(scan.units(shard->order, shard->pool->size()));
+    cursors.emplace_back(units.back().count());
+  }
 
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -262,77 +235,16 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
 
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
-    ShardRun& run = runs[si];
-    run.worker_hits.resize(shard.pool->size());
-    const size_t nbatches = shard.end_batch - shard.first_batch;
     shard.searches.fetch_add(1, std::memory_order_relaxed);
-
-    auto scan = [this, &db, &bdb, &cfg, &ctx, &run, &shard, &truncated, prep,
-                 query, top_k, isa, k_ilp, si](size_t rel_begin,
-                                               size_t rel_end, unsigned w) {
+    auto run_slot = [&scan, &shard, &units, &cursors, &slots, &ctx, &prep,
+                     query, si, base = first_slot[si]](unsigned slot) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
       obs::Span span(ctx.trace, "chunk.shard_search");
-      span.set_kernel(perf::batch_kernel_variant(k_ilp));
-      span.set_ilp(static_cast<uint8_t>(k_ilp));
       span.set_index(si);
-      span.set_isa(isa);
-      span.set_width_bits(8);
-      span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
       auto lease = shard.cache->lease_workspace();
-      core::Workspace& ws = lease.ws();
-      core::BatchSearchStats local{};
-      TopK top(top_k);
-      core::AlignConfig wide = cfg;
-      wide.width = core::Width::W16;
-      const size_t b_begin = shard.first_batch + rel_begin;
-      const size_t b_end = shard.first_batch + rel_end;
-      uint64_t scanned = 0;
-      for (size_t b = b_begin; b < b_end;) {
-        if (ctx.should_stop()) {  // per-group cancellation/deadline check
-          truncated.store(true, std::memory_order_relaxed);
-          span.set_trunc(trunc_cause(ctx));
-          break;
-        }
-        const int group = static_cast<int>(
-            std::min<size_t>(static_cast<size_t>(k_ilp), b_end - b));
-        core::Batch32Db::Batch batch[core::kMaxBatchInterleave];
-        core::BatchCols cols[core::kMaxBatchInterleave];
-        core::Batch8Result r8[core::kMaxBatchInterleave];
-        for (int g = 0; g < group; ++g) {
-          batch[g] = bdb.batch(b + static_cast<size_t>(g));
-          cols[g] = core::BatchCols{batch[g].columns, batch[g].max_len};
-        }
-        core::batch32_align_u8_group(query, cols, group, bdb.lanes(), cfg, ws,
-                                     isa, k_ilp, r8);
-        for (int g = 0; g < group; ++g) {
-          local.cells8 += static_cast<uint64_t>(batch[g].max_len) *
-                          query.length * static_cast<uint64_t>(bdb.lanes());
-          local.useful_cells8 += batch[g].real_residues * query.length;
-          for (uint32_t k = 0; k < batch[g].count; ++k) {
-            const uint32_t seq_idx = batch[g].seq_index[k];
-            int score;
-            if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-              core::Alignment a =
-                  core::diag_align(query, db[seq_idx], wide, ws, prep.get());
-              if (a.saturated) {
-                core::AlignConfig w32 = wide;
-                w32.width = core::Width::W32;
-                a = core::diag_align(query, db[seq_idx], w32, ws, prep.get());
-              }
-              score = a.score;
-              ++local.rescored;
-              local.rescored_cells += a.stats.cells;
-            } else {
-              score = r8[g].max_score[k];
-            }
-            top.offer(Hit{seq_idx, score, -1, -1});
-          }
-        }
-        scanned += static_cast<uint64_t>(group);
-        b += static_cast<size_t>(group);
-      }
-      span.add_cells(local.cells8 + local.rescored_cells);
-      span.set_useful_cells(local.useful_cells8 + local.rescored_cells);
+      engine::ScanSlot& out = slots[base + slot];
+      scan.run_slot(query, prep.get(), units[si], cursors[si], lease.ws(), out,
+                    span);
       span.end();
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
       const obs::PmuDelta d = obs::PmuSession::delta(pmu0, pmu1);
@@ -341,58 +253,26 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
         shard.llc_misses.fetch_add(d.llc_misses, std::memory_order_relaxed);
         shard.cycles.fetch_add(d.cycles, std::memory_order_relaxed);
       }
-      shard.batches.fetch_add(scanned, std::memory_order_relaxed);
-      shard.cells.fetch_add(local.cells8 + local.rescored_cells,
+      shard.batches.fetch_add(out.batches, std::memory_order_relaxed);
+      shard.cells.fetch_add(out.stats.cells8 + out.stats.rescored_cells,
                             std::memory_order_relaxed);
-      shard.useful_cells.fetch_add(local.useful_cells8,
+      shard.useful_cells.fetch_add(out.stats.useful_cells8,
                                    std::memory_order_relaxed);
-      shard.rescored.fetch_add(local.rescored, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lk(run.mu);
-        run.worker_hits[w] = std::move(top).sorted();
-        run.stats += local;
-      }
+      shard.rescored.fetch_add(out.stats.rescored, std::memory_order_relaxed);
     };
-    shard.pool->parallel_for_async(nbatches, std::move(scan),
-                                   [&done_mu, &done_cv, &shards_left] {
-                                     std::lock_guard<std::mutex> lk(done_mu);
-                                     if (--shards_left == 0)
-                                       done_cv.notify_all();
-                                   });
+    shard.pool->fan_out_async(run_slot, [&done_mu, &done_cv, &shards_left] {
+      std::lock_guard<std::mutex> lk(done_mu);
+      if (--shards_left == 0) done_cv.notify_all();
+    });
   }
   {
     std::unique_lock<std::mutex> lk(done_mu);
     done_cv.wait(lk, [&shards_left] { return shards_left == 0; });
   }
 
-  core::BatchSearchStats agg{};
-  TopK merged(top_k);
-  for (size_t si = 0; si < nshards; ++si) {
-    agg += runs[si].stats;
-    for (const auto& worker : runs[si].worker_hits)
-      for (const Hit& h : worker) merged.offer(h);
-  }
-  out.truncated = truncated.load(std::memory_order_relaxed);
-  out.batch_stats = agg;
-  if (out.truncated) {  // partial answer; skip the exact re-alignment pass
-    out.seconds = sw.seconds();
-    return out;
-  }
-
-  // Phase 2: exact re-alignment of just the winners for end positions —
-  // same pass as engine::search_batch, over the identical winner set.
-  out.hits = std::move(merged).sorted();
-  auto lease = QueryStateCache::lease(ctx.query_cache);
-  core::Workspace& ws = lease.ws();
-  for (Hit& h : out.hits) {
-    core::Alignment a =
-        core::diag_align(query, db[h.seq_index], cfg, ws, prep.get());
-    h.end_query = a.end_query;
-    h.end_ref = a.end_ref;
-    out.stats += a.stats;
-  }
-  out.stats.cells += agg.cells8 + agg.rescored_cells;
-  out.stats.vector_cells += agg.cells8;
+  // Phase 2: the flat path's merge and exact re-alignment of the winners,
+  // over the identical winner set.
+  scan.finish(query, prep.get(), slots, out);
   out.seconds = sw.seconds();
   return out;
 }

@@ -10,8 +10,9 @@
 // (parallel/topology.hpp) with its own workspace arena (a per-shard
 // QueryStateCache partition), places each shard's column bytes on its node
 // (mbind under `bind`, page-interleave under `interleave`, first-touch
-// otherwise), and scans all shards concurrently into bounded per-shard
-// top-k heaps.
+// otherwise), and scans all shards concurrently into bounded per-worker
+// top-k heaps. Inside a shard, workers run the flat engine's BatchScan over
+// the shard's slice of the cost order, costliest batches first.
 //
 // Determinism: per-sequence scores are exact (the 8-bit kernel plus the
 // 16/32-bit rescore ladder is deterministic, and batches are never split),

@@ -112,6 +112,7 @@ Batch32Db::Batch32Db(const seq::SequenceDatabase& db, int lanes,
   batch_count_ = batches_.size();
   column_bytes_ = columns_.size();
   index_entries_ = seq_index_.size();
+  plan_cost_order();
 }
 
 Batch32Db::Batch32Db(const PackedView& view)
@@ -137,6 +138,19 @@ Batch32Db::Batch32Db(const PackedView& view)
     index_entries_ = std::max(
         index_entries_, static_cast<size_t>(r.index_offset) + r.count);
   }
+  plan_cost_order();
+}
+
+void Batch32Db::plan_cost_order() {
+  // Every batch costs max_len * lanes cells per query residue, so ordering
+  // by max_len is ordering by cost.
+  cost_order_.resize(batch_count_);
+  for (size_t b = 0; b < batch_count_; ++b)
+    cost_order_[b] = static_cast<uint32_t>(b);
+  std::stable_sort(cost_order_.begin(), cost_order_.end(),
+                   [this](uint32_t a, uint32_t b) {
+                     return batches_p_[a].max_len > batches_p_[b].max_len;
+                   });
 }
 
 Batch32Db::Batch Batch32Db::batch(size_t b) const noexcept {
@@ -292,31 +306,29 @@ void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
   }
 }
 
-/// Lanes per batch for a resolved ISA (must match the Batch32Db packing).
-static int batch_lanes_for(simd::Isa isa) {
-  if (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) return 64;
-  return 32;
+int batch_lanes_for(simd::Isa isa) noexcept {
+  return isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi ? 64 : 32;
 }
 
-std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
-                              const seq::SequenceDatabase& db, const AlignConfig& cfg,
-                              Workspace& ws, BatchSearchStats* stats,
-                              const PreparedQuery* prep) {
-  cfg.validate();
+void check_batch_scan(const AlignConfig& cfg, const Batch32Db& bdb) {
   if (cfg.traceback)
-    throw std::invalid_argument("batch_scores: traceback is not supported; "
+    throw std::invalid_argument("batch scan: traceback is not supported; "
                                 "re-align candidates with Aligner instead");
   if (cfg.band >= 0)
-    throw std::invalid_argument("batch_scores: banding is not supported by the "
+    throw std::invalid_argument("batch scan: banding is not supported by the "
                                 "inter-sequence kernel");
+  const int lanes = bdb.lanes();
+  if (lanes != batch_lanes_for(simd::resolve_isa(cfg.isa)) && lanes != 32)
+    throw std::invalid_argument("batch scan: database packed for a different ISA");
+}
+
+void scan_batches(seq::SeqView q, const Batch32Db& bdb,
+                  const seq::SequenceDatabase& db,
+                  std::span<const uint32_t> batch_ids, const AlignConfig& cfg,
+                  Workspace& ws, const PreparedQuery* prep,
+                  std::vector<LaneScore>& out, BatchSearchStats& stats) {
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   const int lanes = bdb.lanes();
-  if (lanes != batch_lanes_for(isa) && lanes != 32)
-    throw std::invalid_argument("batch_scores: database packed for a different ISA");
-
-  std::vector<int> scores(db.size(), 0);
-  BatchSearchStats local{};
-
   // Wider re-score config: same scoring, diagonal kernel, adaptive from 16.
   AlignConfig wide = cfg;
   wide.width = Width::W16;
@@ -325,23 +337,24 @@ std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
   // Feed batches to the kernel in groups of the resolved interleave depth:
   // the fused kernel keeps `group` independent dependency chains in flight.
   const int k_ilp = resolved_ilp(isa);
-  for (size_t b = 0; b < bdb.batch_count();) {
+  for (size_t i = 0; i < batch_ids.size();) {
     const int group = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(k_ilp), bdb.batch_count() - b));
+        static_cast<size_t>(k_ilp), batch_ids.size() - i));
     Batch32Db::Batch batch[kMaxBatchInterleave];
     BatchCols cols[kMaxBatchInterleave];
     Batch8Result r8[kMaxBatchInterleave];
     for (int g = 0; g < group; ++g) {
-      batch[g] = bdb.batch(b + static_cast<size_t>(g));
+      batch[g] = bdb.batch(batch_ids[i + static_cast<size_t>(g)]);
       cols[g] = BatchCols{batch[g].columns, batch[g].max_len};
     }
     batch32_align_u8_group(q, cols, group, lanes, cfg, ws, isa, k_ilp, r8);
     for (int g = 0; g < group; ++g) {
-      local.cells8 += static_cast<uint64_t>(batch[g].max_len) * q.length *
+      stats.cells8 += static_cast<uint64_t>(batch[g].max_len) * q.length *
                       static_cast<uint64_t>(lanes);
-      local.useful_cells8 += batch[g].real_residues * q.length;
+      stats.useful_cells8 += batch[g].real_residues * q.length;
       for (uint32_t k = 0; k < batch[g].count; ++k) {
         const uint32_t seq_idx = batch[g].seq_index[k];
+        int score = r8[g].max_score[k];
         if (r8[g].saturated_mask & (uint64_t{1} << k)) {
           // Exact re-score at 16 bits, escalating to 32 if needed.
           const seq::Sequence& s = db[seq_idx];
@@ -351,16 +364,29 @@ std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
             wide32.width = Width::W32;
             a = diag_align(q, s, wide32, ws, prep);
           }
-          scores[seq_idx] = a.score;
-          local.rescored++;
-          local.rescored_cells += a.stats.cells;
-        } else {
-          scores[seq_idx] = r8[g].max_score[k];
+          score = a.score;
+          stats.rescored++;
+          stats.rescored_cells += a.stats.cells;
         }
+        out.push_back(LaneScore{seq_idx, score});
       }
     }
-    b += static_cast<size_t>(group);
+    i += static_cast<size_t>(group);
   }
+}
+
+std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
+                              const seq::SequenceDatabase& db, const AlignConfig& cfg,
+                              Workspace& ws, BatchSearchStats* stats,
+                              const PreparedQuery* prep) {
+  cfg.validate();
+  check_batch_scan(cfg, bdb);
+  std::vector<LaneScore> lanes;
+  lanes.reserve(bdb.sequence_count());
+  BatchSearchStats local{};
+  scan_batches(q, bdb, db, bdb.cost_order(), cfg, ws, prep, lanes, local);
+  std::vector<int> scores(db.size(), 0);
+  for (const LaneScore& l : lanes) scores[l.seq_index] = l.score;
   if (stats) *stats = local;
   return scores;
 }

@@ -132,6 +132,10 @@ class Batch32Db {
   double packing_efficiency() const noexcept;
   /// Padding overhead: padded cells / real cells - 1.
   double padding_overhead() const noexcept;
+  /// Every batch index once, costliest first: by padded cells (max_len *
+  /// lanes) descending, ties in index order. The schedule every batch scan
+  /// claims work from (longest-processing-time first), built once here.
+  std::span<const uint32_t> cost_order() const noexcept { return cost_order_; }
 
  private:
   int lanes_;
@@ -154,6 +158,8 @@ class Batch32Db {
   size_t batch_count_ = 0;
   size_t column_bytes_ = 0;   // total bytes behind columns_p_
   size_t index_entries_ = 0;  // entries behind seq_index_p_/seq_len_p_
+  std::vector<uint32_t> cost_order_;  // both modes; see cost_order()
+  void plan_cost_order();
 };
 
 /// Pad residue code used for lanes past a sequence's end and for empty
@@ -200,10 +206,12 @@ void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
                             int lanes, const AlignConfig& cfg, Workspace& ws,
                             simd::Isa isa, int k_interleave, Batch8Result* out);
 
-/// Score one query against the whole packed database: runs the 8-bit batch
-/// kernel and transparently re-scores saturated lanes with the diagonal
-/// kernel's 16/32-bit ladder. Returns scores indexed by original database
-/// sequence index, plus statistics.
+/// Lanes per batch the batch kernel runs for a resolved ISA: 64 with
+/// AVX-512-VBMI, else 32. Databases are packed at this width.
+int batch_lanes_for(simd::Isa isa) noexcept;
+
+/// Work accounting of a batch scan (exact counts: the same for every
+/// schedule, thread count and interleave depth).
 struct BatchSearchStats {
   uint64_t cells8 = 0;        ///< DP cells done by the 8-bit batch kernel
                               ///< (padding included: max_len * lanes * m)
@@ -226,8 +234,33 @@ struct BatchSearchStats {
     return *this;
   }
 };
-/// `prep`, when non-null, must be a PreparedQuery built from exactly `q`;
-/// the 16/32-bit rescore ladder then skips rebuilding its query feeds.
+/// Throws std::invalid_argument unless `cfg` (validated) can drive the
+/// batch kernel over `bdb`: no traceback, no band, lanes packed for the
+/// ISA `cfg` resolves to.
+void check_batch_scan(const AlignConfig& cfg, const Batch32Db& bdb);
+
+/// One scanned lane: original database index and exact score.
+struct LaneScore {
+  uint32_t seq_index;
+  int score;
+};
+
+/// The batch scan loop every batch engine runs. Scores `q` against the
+/// batches `batch_ids` (any order), fusing them in groups of the resolved
+/// interleave depth, and re-scores saturated lanes exactly with the
+/// diagonal kernel's 16 -> 32-bit ladder. Appends one LaneScore per real
+/// lane to `out` and adds the work to `stats`. `cfg` must pass
+/// check_batch_scan; `prep`, when non-null, must be a PreparedQuery built
+/// from exactly `q` (the ladder then skips rebuilding its query feeds).
+void scan_batches(seq::SeqView q, const Batch32Db& bdb,
+                  const seq::SequenceDatabase& db,
+                  std::span<const uint32_t> batch_ids, const AlignConfig& cfg,
+                  Workspace& ws, const PreparedQuery* prep,
+                  std::vector<LaneScore>& out, BatchSearchStats& stats);
+
+/// Score one query against the whole packed database, serially (one
+/// scan_batches call). Returns scores indexed by original database
+/// sequence index, plus statistics.
 std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
                               const seq::SequenceDatabase& db, const AlignConfig& cfg,
                               Workspace& ws, BatchSearchStats* stats = nullptr,

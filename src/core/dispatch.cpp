@@ -67,8 +67,7 @@ ScoreDelivery calibrate_delivery(simd::Isa isa) {
 // win depends on how many idle ports the single-chain recurrence leaves,
 // which varies by microarchitecture and ISA width — measure, don't guess.
 int calibrate_ilp(simd::Isa isa) {
-  const int lanes =
-      (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) ? 64 : 32;
+  const int lanes = batch_lanes_for(isa);
   constexpr int kQLen = 256;
   constexpr uint32_t kCols = 256;
   constexpr int kGroup = 4;

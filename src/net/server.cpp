@@ -906,12 +906,9 @@ std::string Server::render_statusz() const {
       {"resident_bytes", snap.db_resident_bytes},
       {"load_ms", snap.db_load_seconds * 1e3},
       {"epoch", u64_string(db_epoch_)}};
-  if (snap.shard_count > 0) {
+  if (!snap.shards.empty()) {
     JsonArray shards;
-    for (uint32_t i = 0; i < snap.shard_count &&
-                         i < static_cast<uint32_t>(
-                                 perf::MetricsSnapshot::kMaxShards);
-         ++i) {
+    for (size_t i = 0; i < snap.shards.size(); ++i) {
       const perf::MetricsSnapshot::ShardSample& sh = snap.shards[i];
       shards.push_back(JsonObject{
           {"shard", static_cast<uint64_t>(i)},

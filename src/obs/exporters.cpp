@@ -442,44 +442,44 @@ std::string to_prometheus(const MetricsSnapshot& s, const BuildInfo& b,
     appendf(out, "swve_db_load_seconds %.6g\n", s.db_load_seconds);
   }
 
-  if (s.shard_count > 0) {
+  if (!s.shards.empty()) {
     prom_header(out, "swve_shard_info",
                 "Sharded-search layout: constant 1 per shard, labeled by "
                 "pinned NUMA node, thread count, and whether the shard's "
                 "columns were mbind-placed",
                 "gauge");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out,
               "swve_shard_info{shard=\"%u\",node=\"%d\",threads=\"%u\","
               "bound=\"%u\"} 1\n",
               i, s.shards[i].node, s.shards[i].threads, s.shards[i].bound);
     prom_header(out, "swve_shard_searches_total",
                 "Batch searches executed, per shard", "counter");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_searches_total{shard=\"%u\"} %" PRIu64 "\n", i,
               s.shards[i].searches);
     prom_header(out, "swve_shard_cells_total",
                 "DP cells computed per shard (8-bit kernel + rescore)",
                 "counter");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_cells_total{shard=\"%u\"} %" PRIu64 "\n", i,
               s.shards[i].cells);
     prom_header(out, "swve_shard_busy_seconds_total",
                 "Worker wall time spent inside each shard's scans",
                 "counter");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_busy_seconds_total{shard=\"%u\"} %.6g\n", i,
               s.shards[i].busy_seconds);
     prom_header(out, "swve_shard_gcups",
                 "Per-shard throughput over its own busy time — unequal "
                 "values are the live shard-imbalance signal",
                 "gauge");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_gcups{shard=\"%u\"} %.6g\n", i,
               s.shards[i].gcups());
     prom_header(out, "swve_shard_queue_depth",
                 "Jobs outstanding on each shard's pinned pool", "gauge");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_queue_depth{shard=\"%u\"} %" PRIu64 "\n", i,
               s.shards[i].queue_depth);
     prom_header(out, "swve_shard_llc_misses_total",
@@ -487,7 +487,7 @@ std::string to_prometheus(const MetricsSnapshot& s, const BuildInfo& b,
                 "where perf_event is unavailable). Remote-heavy placement "
                 "shows up as one shard's misses outgrowing its peers'",
                 "counter");
-    for (uint32_t i = 0; i < s.shard_count; ++i)
+    for (uint32_t i = 0; i < s.shards.size(); ++i)
       appendf(out, "swve_shard_llc_misses_total{shard=\"%u\"} %" PRIu64 "\n",
               i, s.shards[i].llc_misses);
   }
@@ -774,7 +774,7 @@ std::string to_json(const MetricsSnapshot& s, const SloStatus* slo) {
           core::db_source_name(static_cast<core::DbSource>(s.db_source)),
           s.db_map_bytes, s.db_resident_bytes, s.db_load_seconds, s.db_epoch);
   out += "\"shards\":[";
-  for (uint32_t i = 0; i < s.shard_count; ++i) {
+  for (uint32_t i = 0; i < s.shards.size(); ++i) {
     const auto& sh = s.shards[i];
     appendf(out,
             "%s{\"shard\":%u,\"node\":%d,\"threads\":%u,\"bound\":%s,"

@@ -138,15 +138,14 @@ void TimeSeriesStore::push(const perf::MetricsSnapshot& snap, double t_s,
   }
   p.avx512_frequency_ratio = snap.avx512_frequency_ratio();
 
-  for (uint32_t i = 0; i < snap.shard_count &&
-                       i < MetricsSnapshot::kMaxShards;
-       ++i) {
+  for (size_t i = 0; i < snap.shards.size(); ++i) {
     const auto& now = snap.shards[i];
     // A shard missing from the previous snapshot (count grew) deltas
-    // against zeroes, which counter_delta already handles.
-    const auto& was = prev_.shards[i];
+    // against zeroes.
+    const MetricsSnapshot::ShardSample was =
+        i < prev_.shards.size() ? prev_.shards[i] : MetricsSnapshot::ShardSample{};
     TimeSeriesPoint::ShardPoint sp;
-    sp.shard = static_cast<uint8_t>(i);
+    sp.shard = static_cast<uint32_t>(i);
     sp.node = now.node;
     const uint64_t cells_delta = perf::counter_delta(now.cells, was.cells);
     const double busy_d = std::max(0.0, now.busy_seconds - was.busy_seconds);

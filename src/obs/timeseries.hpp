@@ -82,7 +82,7 @@ struct TimeSeriesPoint {
   // batch search runs unsharded). Live shard imbalance is visible as one
   // shard's gcups or queue_depth diverging from its peers'.
   struct ShardPoint {
-    uint8_t shard = 0;
+    uint32_t shard = 0;
     int32_t node = -1;         ///< pinned NUMA node; -1 unpinned
     double gcups = 0;          ///< window cells delta / busy-seconds delta
     uint64_t searches = 0;     ///< searches retired this window

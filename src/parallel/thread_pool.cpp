@@ -51,90 +51,72 @@ void ThreadPool::worker_loop(unsigned id) {
     jobs_run_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
+      --outstanding_;
     }
   }
 }
 
-void ThreadPool::parallel_for(size_t n,
-                              const std::function<void(size_t, size_t, unsigned)>& fn) {
-  if (n == 0) return;
-  const unsigned workers = size();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[n, w, workers, &fn](unsigned id) {
-        auto [b, e] = block_range(n, w, workers);
-        if (b < e) fn(b, e, id);
-      }});
-    }
-    outstanding_ += workers;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return outstanding_ == 0; });
-}
-
-void ThreadPool::parallel_for_async(
-    size_t n, std::function<void(size_t, size_t, unsigned)> fn,
-    std::function<void()> on_done) {
-  if (n == 0) {
-    if (on_done) on_done();
-    return;
-  }
-  const unsigned workers = size();
-  // Shared completion state: the worker that retires the last block fires
-  // on_done (after its own fn), so the callback never runs concurrently
-  // with any block of this fan-out.
+void ThreadPool::fan_out_async(std::function<void(unsigned)> fn,
+                               std::function<void()> on_done) {
+  const unsigned slots = size();
+  // Shared completion state: the slot that retires last fires on_done
+  // (after its own fn), so the callback never overlaps any slot.
   struct Shared {
-    std::function<void(size_t, size_t, unsigned)> fn;
+    std::function<void(unsigned)> fn;
     std::function<void()> on_done;
     std::atomic<unsigned> remaining;
   };
   auto shared = std::make_shared<Shared>();
   shared->fn = std::move(fn);
   shared->on_done = std::move(on_done);
-  shared->remaining.store(workers, std::memory_order_relaxed);
+  shared->remaining.store(slots, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[n, w, workers, shared](unsigned) {
-        auto [b, e] = block_range(n, w, workers);
-        // Pass the *block* index, not the executing worker id: under
-        // concurrent fan-outs one worker can run several blocks, and
-        // callers index per-block output slots by this id.
-        if (b < e) shared->fn(b, e, w);
+    for (unsigned slot = 0; slot < slots; ++slot) {
+      jobs_.push(Job{[slot, shared](unsigned) {
+        shared->fn(slot);
         if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
             shared->on_done)
           shared->on_done();
       }});
     }
-    outstanding_ += workers;
+    outstanding_ += slots;
   }
   cv_.notify_all();
+}
+
+void ThreadPool::fan_out(const std::function<void(unsigned)>& fn) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  fan_out_async(fn, [&] {
+    // Notify under the lock: the waiter cannot return (and destroy mu/cv)
+    // before this callback releases it.
+    std::lock_guard<std::mutex> lk(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&done] { return done; });
+}
+
+void ThreadPool::parallel_for(size_t n,
+                              const std::function<void(size_t, size_t, unsigned)>& fn) {
+  if (n == 0) return;
+  const unsigned workers = size();
+  fan_out([n, workers, &fn](unsigned slot) {
+    auto [b, e] = block_range(n, slot, workers);
+    if (b < e) fn(b, e, slot);
+  });
 }
 
 void ThreadPool::parallel_chunks(size_t chunks,
                                  const std::function<void(size_t, unsigned)>& fn) {
   if (chunks == 0) return;
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  const unsigned workers = size();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned w = 0; w < workers; ++w) {
-      jobs_.push(Job{[chunks, next, &fn](unsigned id) {
-        for (;;) {
-          size_t c = next->fetch_add(1, std::memory_order_relaxed);
-          if (c >= chunks) return;
-          fn(c, id);
-        }
-      }});
-    }
-    outstanding_ += workers;
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return outstanding_ == 0; });
+  WorkCursor cursor(chunks);
+  fan_out([&cursor, &fn](unsigned slot) {
+    for (size_t c; cursor.claim(c);) fn(c, slot);
+  });
 }
 
 }  // namespace swve::parallel

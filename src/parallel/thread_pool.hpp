@@ -1,8 +1,12 @@
-// Fixed-size thread pool with deterministic static partitioning.
+// Fixed-size thread pool with static and work-claiming fan-outs.
 //
-// The paper's scenario drivers split work statically (contiguous index
-// ranges) and merge results in index order, so results are bit-identical
-// for any thread count — part of the library's determinism guarantee.
+// Results never depend on which worker ran which piece: engines write each
+// result to a slot keyed by its input index (a sequence, a query) or fold
+// it under a strict total order (top-k over align::Hit), so the same call
+// returns bit-identical results for any thread count and any schedule —
+// part of the library's determinism guarantee. That frees the batch
+// engines to hand work out dynamically, costliest first (WorkCursor), so
+// every worker finishes together.
 #pragma once
 
 #include <atomic>
@@ -47,28 +51,31 @@ class ThreadPool {
                          1e-9};
   }
 
-  /// Run fn(begin, end, worker) over [0, n) split into size() contiguous
-  /// blocks; blocks before returning. Worker ids are stable in [0, size()).
-  /// The calling thread does not execute work (workers own their scratch).
+  /// Run fn(slot) once for every worker slot in [0, size()), one job each;
+  /// blocks until all have returned. A slot is a job, not a thread: under
+  /// concurrent fan-outs one thread may run several slots in turn, so
+  /// per-slot scratch indexed by `slot` is never shared. The calling thread
+  /// does not execute work (workers own their scratch).
+  void fan_out(const std::function<void(unsigned)>& fn);
+
+  /// Non-blocking fan_out: enqueues the slots and returns immediately;
+  /// `on_done` runs exactly once, on the worker that finishes the last
+  /// slot, after every slot's fn has returned. Lets one caller fan out over
+  /// several pools at once (per-shard pools in align::ShardedSearch) and
+  /// wait on its own latch.
+  void fan_out_async(std::function<void(unsigned)> fn,
+                     std::function<void()> on_done);
+
+  /// Run fn(begin, end, slot) over [0, n) split into size() contiguous
+  /// blocks (block_range); blocks before returning.
   void parallel_for(size_t n,
                     const std::function<void(size_t, size_t, unsigned)>& fn);
 
-  /// Run fn(chunk_index, worker) for every chunk in [0, chunks); chunks are
-  /// handed out dynamically but results should be written by chunk_index so
-  /// output stays deterministic.
+  /// Run fn(chunk_index, slot) for every chunk in [0, chunks); chunks are
+  /// claimed dynamically in index order (WorkCursor), so results should be
+  /// written by chunk_index to keep output deterministic.
   void parallel_chunks(size_t chunks,
                        const std::function<void(size_t, unsigned)>& fn);
-
-  /// Non-blocking parallel_for: enqueues the same static split and returns
-  /// immediately; `on_done` runs exactly once, on the worker that finishes
-  /// the last block. Lets one caller fan out over several pools at once
-  /// (per-shard pools in align::ShardedSearch) and wait on its own latch.
-  /// Unlike parallel_for, fn's third argument is the *block* index in
-  /// [0, size()) — stable per block even when one worker executes several
-  /// blocks of the same fan-out — so callers can index output slots by it.
-  void parallel_for_async(size_t n,
-                          std::function<void(size_t, size_t, unsigned)> fn,
-                          std::function<void()> on_done);
 
   /// Jobs enqueued or running right now (queue-depth gauge; approximate).
   size_t pending() const noexcept {
@@ -86,12 +93,30 @@ class ThreadPool {
   std::vector<int> affinity_cpus_;  // empty: unpinned
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
   std::queue<Job> jobs_;
   size_t outstanding_ = 0;
   bool stop_ = false;
   std::atomic<uint64_t> jobs_run_{0};
   std::atomic<uint64_t> busy_ns_{0};
+};
+
+/// Shared claim counter of one work-claiming fan-out: units come out in
+/// index order, each exactly once. With units sorted costliest first this
+/// is longest-processing-time list scheduling: a worker that finishes
+/// early takes the next unit, so workers finish within one unit of each
+/// other instead of waiting on whoever drew the long tail.
+class WorkCursor {
+ public:
+  explicit WorkCursor(size_t units) noexcept : units_(units) {}
+  /// Claims the next unit into `unit`; false once every unit is taken.
+  bool claim(size_t& unit) noexcept {
+    unit = next_.fetch_add(1, std::memory_order_relaxed);
+    return unit < units_;
+  }
+
+ private:
+  std::atomic<size_t> next_{0};
+  size_t units_;
 };
 
 /// Contiguous block [begin, end) of [0, n) for worker `w` of `workers`.

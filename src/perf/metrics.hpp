@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "simd/cpu.hpp"
 
@@ -320,9 +321,8 @@ struct MetricsSnapshot {
   uint64_t slow_requests = 0;
 
   // Sharded-search attribution (filled by the owner from
-  // align::ShardedSearch::shard_stats; shard_count == 0 when batch search
-  // runs on the unsharded flat pool).
-  static constexpr int kMaxShards = 16;
+  // align::ShardedSearch::shard_stats; empty when batch search runs on the
+  // unsharded flat pool).
   struct ShardSample {
     uint64_t searches = 0;
     uint64_t batches = 0;       ///< batch-kernel batches scanned
@@ -343,8 +343,7 @@ struct MetricsSnapshot {
                  : 0.0;
     }
   };
-  uint32_t shard_count = 0;  ///< live shards, clamped to kMaxShards
-  std::array<ShardSample, kMaxShards> shards{};
+  std::vector<ShardSample> shards;  ///< one per live shard, in shard order
 
   // TraceSink accounting (filled by the owner from obs::TraceSink; zero
   // when no sink is attached).

@@ -128,7 +128,8 @@ AlignService::AlignService(const seq::SequenceDatabase& db,
   // the caller hasn't submitted yet — which it can't: it has no handle).
   perf::Stopwatch sw;
   bdb_ = std::make_unique<core::Batch32Db>(
-      db, align::engine::batch_server_lanes(), opt_.cache.batch_packing);
+      db, core::batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)),
+      opt_.cache.batch_packing);
   packed_ = bdb_.get();
   db_source_ = core::DbSource::Built;
   db_load_seconds_ = sw.seconds();
@@ -213,10 +214,8 @@ perf::MetricsSnapshot AlignService::metrics() const {
     s.query_cache_entries = qs.entries;
   }
   if (sharded_) {
-    const size_t n = std::min<size_t>(sharded_->shard_count(),
-                                      perf::MetricsSnapshot::kMaxShards);
-    s.shard_count = static_cast<uint32_t>(n);
-    for (size_t i = 0; i < n; ++i) {
+    s.shards.resize(sharded_->shard_count());
+    for (size_t i = 0; i < s.shards.size(); ++i) {
       const align::ShardStats st = sharded_->shard_stats(i);
       auto& out = s.shards[i];
       out.searches = st.searches;

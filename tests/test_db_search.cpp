@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "align/db_search.hpp"
+#include "align/sharded_search.hpp"
 #include "core/scalar_ref.hpp"
 #include "seq/synthetic.hpp"
 
@@ -249,6 +253,165 @@ TEST(DatabaseSearch, TopKZero) {
   DatabaseSearch search(db, AlignConfig{});
   auto q = seq::generate_sequence(98, 50);
   EXPECT_TRUE(search.search(q, 0).hits.empty());
+}
+
+void expect_same_stats(const core::BatchSearchStats& got,
+                       const core::BatchSearchStats& want, const std::string& label) {
+  EXPECT_EQ(got.cells8, want.cells8) << label;
+  EXPECT_EQ(got.useful_cells8, want.useful_cells8) << label;
+  EXPECT_EQ(got.rescored, want.rescored) << label;
+  EXPECT_EQ(got.rescored_cells, want.rescored_cells) << label;
+}
+
+TEST(DatabaseSearch, BatchEngineMatchesSerialScanForEverySchedule) {
+  // The schedule (pool size, interleave depth, packing) decides which
+  // worker scans which batch and when; it must never show in the answer:
+  // hits equal the scalar reference, exact work counts equal one serial
+  // batch_scores pass.
+  auto db = make_db(40'000, 41);
+  auto q = seq::generate_sequence(430, 140);
+  AlignConfig cfg;
+  std::vector<int> ref(db.size());
+  std::vector<Hit> want;
+  for (size_t s = 0; s < db.size(); ++s) {
+    const core::Alignment a = core::ref_align(q, db[s], cfg);
+    ref[s] = a.score;
+    if (a.score > 0)
+      want.push_back(Hit{static_cast<uint32_t>(s), a.score, a.end_query, a.end_ref});
+  }
+  std::sort(want.begin(), want.end());
+  want.resize(std::min<size_t>(want.size(), 12));
+
+  std::vector<std::unique_ptr<parallel::ThreadPool>> pools;
+  for (unsigned threads : {1u, 2u, 3u, 4u, 7u})
+    pools.push_back(std::make_unique<parallel::ThreadPool>(threads));
+  const simd::Isa isa = simd::resolve_isa(cfg.isa);
+  for (core::PackingPolicy policy :
+       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
+        core::PackingPolicy::LengthBinned}) {
+    for (int k : {1, 2, 4}) {
+      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
+      DatabaseSearch search(db, cfg, SearchMode::Batch, policy);
+      core::Workspace ws;
+      core::BatchSearchStats serial{};
+      EXPECT_EQ(core::batch_scores(q, *search.packed_db(), db, cfg, ws, &serial), ref);
+      for (const auto& pool : pools) {
+        const std::string label = std::string(core::packing_policy_name(policy)) +
+                                  " k" + std::to_string(k) + " t" +
+                                  std::to_string(pool->size());
+        SearchResult got = search.search(q, 12, pool.get());
+        EXPECT_FALSE(got.truncated) << label;
+        ASSERT_EQ(got.hits.size(), want.size()) << label;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got.hits[i].seq_index, want[i].seq_index) << label << " #" << i;
+          EXPECT_EQ(got.hits[i].score, want[i].score) << label << " #" << i;
+          EXPECT_EQ(got.hits[i].end_query, want[i].end_query) << label << " #" << i;
+          EXPECT_EQ(got.hits[i].end_ref, want[i].end_ref) << label << " #" << i;
+        }
+        expect_same_stats(got.batch_stats, serial, label);
+      }
+    }
+  }
+  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
+}
+
+TEST(DatabaseSearch, ScheduleHandsOutCostliestUnitsFirstAndEveryBatchOnce) {
+  auto db = make_db(60'000, 43);
+  for (core::PackingPolicy policy :
+       {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
+        core::PackingPolicy::LengthBinned}) {
+    const core::Batch32Db bdb(db, 32, policy);
+    const auto order = bdb.cost_order();
+    const size_t n = bdb.batch_count();
+    ASSERT_EQ(order.size(), n);
+    auto cost = [&](size_t i) { return uint64_t{bdb.batch(order[i]).max_len} * 32; };
+    std::vector<int> seen(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      ++seen[order[i]];
+      if (i > 0) {
+        EXPECT_GE(cost(i - 1), cost(i)) << i;
+      }
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(n));
+
+    // The engine's units, claimed by concurrent workers: each unit exactly
+    // once, no unit costing more than the one claimed before it, and
+    // between them every batch exactly once.
+    const AlignConfig cfg;
+    const ExecContext ctx;
+    for (int k : {1, 2, 4}) {
+      core::set_ilp_override(simd::resolve_isa(cfg.isa), core::IlpPolicy::fixed(k));
+      const engine::BatchScan scan{db, bdb, cfg, ctx, 10};
+      for (size_t slots : {size_t{1}, size_t{3}, size_t{7}}) {
+        const engine::ScanUnits units = scan.units(order, slots);
+        EXPECT_GE(units.size, 1u);
+        EXPECT_LE(units.size, static_cast<size_t>(k));
+        std::vector<std::atomic<int>> claimed(units.count());
+        parallel::WorkCursor cursor(units.count());
+        parallel::ThreadPool pool(static_cast<unsigned>(slots));
+        pool.fan_out([&](unsigned) {
+          for (size_t u; cursor.claim(u);) claimed[u].fetch_add(1);
+        });
+        std::vector<int> covered(n, 0);
+        uint64_t prev = UINT64_MAX;
+        for (size_t u = 0; u < units.count(); ++u) {
+          EXPECT_EQ(claimed[u].load(), 1) << u;
+          uint64_t c = 0;
+          for (uint32_t b : units[u]) {
+            c += uint64_t{bdb.batch(b).max_len} * 32;
+            ++covered[b];
+          }
+          EXPECT_LE(c, prev) << "k" << k << " slots " << slots << " unit " << u;
+          prev = c;
+        }
+        EXPECT_EQ(std::count(covered.begin(), covered.end(), 1), static_cast<long>(n));
+      }
+    }
+    core::set_ilp_override(simd::resolve_isa(cfg.isa), core::IlpPolicy::auto_policy());
+  }
+}
+
+TEST(DatabaseSearch, BatchScanStopsMidScanOnDeadlineAndCancel) {
+  // A scan far longer than the stop delay: both engines (flat and sharded)
+  // must stop between units and withhold the partial answer.
+  auto db = make_db(600'000, 45);
+  auto q = seq::generate_sequence(440, 2000);
+  DatabaseSearch flat(db, AlignConfig{}, SearchMode::Batch);
+  DatabaseSearch sharded(db, AlignConfig{}, SearchMode::Batch);
+  ShardOptions sopt;
+  sopt.shards = 2;
+  sopt.total_threads = 2;
+  ASSERT_TRUE(sharded.enable_sharding(sopt).ok());
+  const uint64_t full_cells8 = flat.packed_db()->padded_residues() * q.length();
+  parallel::ThreadPool pool(2);
+
+  for (const DatabaseSearch* search : {&flat, &sharded}) {
+    const std::string label = search == &flat ? "flat" : "sharded";
+    {
+      ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.deadline = ExecContext::Clock::now() + std::chrono::milliseconds(2);
+      const SearchResult r = search->search(q, 10, ctx);
+      EXPECT_TRUE(r.truncated) << label;
+      EXPECT_TRUE(r.hits.empty()) << label;
+      EXPECT_LT(r.batch_stats.cells8, full_cells8) << label;
+    }
+    {
+      std::atomic<bool> cancel{false};
+      std::thread canceller([&cancel] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        cancel.store(true);
+      });
+      ExecContext ctx;
+      ctx.pool = &pool;
+      ctx.cancel = &cancel;
+      const SearchResult r = search->search(q, 10, ctx);
+      canceller.join();
+      EXPECT_TRUE(r.truncated) << label;
+      EXPECT_TRUE(r.hits.empty()) << label;
+      EXPECT_LT(r.batch_stats.cells8, full_cells8) << label;
+    }
+  }
 }
 
 }  // namespace

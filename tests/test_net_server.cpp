@@ -846,5 +846,57 @@ TEST(NetServer, PingAndBinaryMetrics) {
   EXPECT_TRUE(Json::parse(*json.response).has_value());
 }
 
+TEST(NetServer, EveryShardReachesMetricsStatuszAndVarz) {
+  // More shards than any fixed-size sample array would hold: shard 17 and
+  // up must reach every export, not silently vanish.
+  constexpr size_t kShards = 20;
+  service::ServiceOptions opt;
+  opt.search.shards = static_cast<int>(kShards);
+  opt.pool_threads = 2;
+  opt.serve.telemetry_cadence_s = 0.05;
+  opt.serve.telemetry_retention_s = 10.0;
+  Loopback lb(opt, 400'000);
+  ASSERT_NE(lb.server, nullptr);
+  ASSERT_NE(lb.svc->sharded(), nullptr);
+  ASSERT_EQ(lb.svc->sharded()->shard_count(), kShards);
+  ASSERT_GE(lb.svc->sharded()->shard_range(kShards - 1).first, kShards - 1);
+
+  SearchRequest rq = search_request();
+  rq.mode = align::SearchMode::Batch;
+  ASSERT_TRUE(lb.client()->search(rq).ok());
+  const size_t ticks = lb.svc->timeseries()->size();
+  for (int i = 0; i < 100 && lb.svc->timeseries()->size() < ticks + 2; ++i)
+    std::this_thread::sleep_for(milliseconds(20));
+
+  const auto prom = http_get("127.0.0.1", lb.server->port(), "/metrics");
+  ASSERT_TRUE(prom.ok()) << prom.error().message;
+  for (size_t i = 0; i < kShards; ++i)
+    EXPECT_NE(prom.value().find("swve_shard_searches_total{shard=\"" +
+                                std::to_string(i) + "\"} 1"),
+              std::string::npos)
+        << "prometheus shard " << i;
+
+  auto expect_every_shard = [&](const Json& shards, const std::string& where) {
+    ASSERT_TRUE(shards.is_array()) << where;
+    ASSERT_EQ(shards.as_array().size(), kShards) << where;
+    for (size_t i = 0; i < kShards; ++i)
+      EXPECT_EQ(shards.as_array()[i]["shard"].as_number(), static_cast<double>(i))
+          << where << " shard " << i;
+  };
+  for (const char* path : {"/metrics?format=json", "/statusz", "/varz"}) {
+    const auto body = http_get("127.0.0.1", lb.server->port(), path);
+    ASSERT_TRUE(body.ok()) << path << ": " << body.error().message;
+    const auto doc = Json::parse(body.value());
+    ASSERT_TRUE(doc.has_value()) << path;
+    if (std::string(path) == "/varz") {
+      ASSERT_TRUE((*doc)["points"].is_array());
+      ASSERT_FALSE((*doc)["points"].as_array().empty());
+      expect_every_shard((*doc)["points"].as_array().back()["shards"], path);
+    } else {
+      expect_every_shard((*doc)["shards"], path);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace swve::net

@@ -61,22 +61,33 @@ TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
       SearchResult want = flat.search(q, 12);
       const size_t batches = flat.packed_db()->batch_count();
       ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
+      // Exact work counts of one serial pass: every shard split and pool
+      // size must sum to them.
+      core::Workspace ws;
+      core::BatchSearchStats serial{};
+      core::batch_scores(q, *flat.packed_db(), db, core::AlignConfig{}, ws, &serial);
 
       for (int s : {1, 2, 3, 7}) {
-        DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
-                               policy);
-        ShardOptions sopt;
-        sopt.shards = s;
-        sopt.total_threads = 4;
-        auto ok = sharded.enable_sharding(sopt);
-        ASSERT_TRUE(ok.ok()) << ok.error().message;
-        ASSERT_NE(sharded.sharded(), nullptr);
-        EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
-        SearchResult got = sharded.search(q, 12);
-        expect_same_hits(got, want,
-                         std::string(core::packing_policy_name(policy)) +
-                             " k" + std::to_string(k) + " s" +
-                             std::to_string(s));
+        for (unsigned threads : {4u, 7u}) {
+          const std::string label = std::string(core::packing_policy_name(policy)) +
+                                    " k" + std::to_string(k) + " s" +
+                                    std::to_string(s) + " t" + std::to_string(threads);
+          DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
+                                 policy);
+          ShardOptions sopt;
+          sopt.shards = s;
+          sopt.total_threads = threads;
+          auto ok = sharded.enable_sharding(sopt);
+          ASSERT_TRUE(ok.ok()) << ok.error().message;
+          ASSERT_NE(sharded.sharded(), nullptr);
+          EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
+          SearchResult got = sharded.search(q, 12);
+          expect_same_hits(got, want, label);
+          EXPECT_EQ(got.batch_stats.cells8, serial.cells8) << label;
+          EXPECT_EQ(got.batch_stats.useful_cells8, serial.useful_cells8) << label;
+          EXPECT_EQ(got.batch_stats.rescored, serial.rescored) << label;
+          EXPECT_EQ(got.batch_stats.rescored_cells, serial.rescored_cells) << label;
+        }
       }
     }
   }
@@ -322,7 +333,7 @@ TEST(ShardedSearch, ServiceLevelShardingMatchesUnsharded) {
   expect_same_hits(got.result, want.result, "service");
 
   const perf::MetricsSnapshot m = svc.metrics();
-  ASSERT_EQ(m.shard_count, 2u);
+  ASSERT_EQ(m.shards.size(), 2u);
   EXPECT_GT(m.shards[0].cells + m.shards[1].cells, 0u);
 
   // Impossible shard counts surface as a typed validation error, not a

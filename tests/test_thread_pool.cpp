@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -104,6 +106,41 @@ TEST(ThreadPool, StressManySmallJobs) {
   for (int round = 0; round < 200; ++round)
     pool.parallel_chunks(8, [&](size_t, unsigned) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 1600);
+}
+
+TEST(ThreadPool, FanOutRunsEverySlotOnce) {
+  ThreadPool pool(5);
+  std::vector<std::atomic<int>> slots(5);
+  pool.fan_out([&](unsigned slot) { slots[slot].fetch_add(1); });
+  for (auto& s : slots) EXPECT_EQ(s.load(), 1);
+}
+
+TEST(ThreadPool, FanOutAsyncFiresOnDoneAfterEverySlot) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  std::atomic<int> seen_at_done{-1};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  pool.fan_out_async([&](unsigned) { ran.fetch_add(1); },
+                     [&] {
+                       seen_at_done = ran.load();
+                       std::lock_guard<std::mutex> lk(mu);
+                       done = true;
+                       cv.notify_all();
+                     });
+  std::unique_lock<std::mutex> lk(mu);
+  cv.wait(lk, [&] { return done; });
+  EXPECT_EQ(seen_at_done.load(), 3);
+}
+
+TEST(WorkCursor, ClaimsEveryUnitOnceInOrder) {
+  WorkCursor cursor(4);
+  std::vector<size_t> got;
+  for (size_t u; cursor.claim(u);) got.push_back(u);
+  EXPECT_EQ(got, (std::vector<size_t>{0, 1, 2, 3}));
+  size_t u = 0;
+  EXPECT_FALSE(cursor.claim(u));  // stays exhausted
 }
 
 }  // namespace
