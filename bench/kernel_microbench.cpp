@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "baseline/diag_basic.hpp"
 #include "baseline/scan.hpp"
@@ -61,6 +62,33 @@ void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
     benchmark::DoNotOptimize(a.score);
   }
   report_cells(state, q.length() * t.length());
+}
+
+// The whole 8 -> 16 -> 32 ladder on one pair: a homologous target (the
+// query mutated at 15%, which saturates 8 bits) or the random target.
+// "rungs" counts the kernel passes per call; "cells_run" the cells they
+// computed per m x n cell of the pair, so the cost of a discarded narrow
+// rung shows next to GCUPS.
+void BM_DiagAdaptive(benchmark::State& state, simd::Isa isa, bool homolog) {
+  if (!simd::isa_available(isa)) {
+    state.SkipWithError("ISA unavailable");
+    return;
+  }
+  const seq::Sequence& q = bench_query(static_cast<int>(state.range(0)));
+  const seq::Sequence t = homolog ? seq::mutate(q, 11, 0.15) : bench_target();
+  core::AlignConfig cfg;
+  cfg.isa = isa;
+  cfg.width = core::Width::Adaptive;
+  core::Alignment a;
+  for (auto _ : state) {
+    a = core::diag_align(q, t, cfg, tls_ws());
+    benchmark::DoNotOptimize(a.score);
+  }
+  const uint64_t cells = q.length() * t.length();
+  report_cells(state, cells);
+  state.counters["rungs"] = 1.0 + a.saturated_8 + a.saturated_16;
+  state.counters["cells_run"] =
+      static_cast<double>(a.stats.cells) / static_cast<double>(cells);
 }
 
 void BM_Striped(benchmark::State& state) {
@@ -179,6 +207,11 @@ int main(int argc, char** argv) {
            ScoreScheme::Matrix);
   SWVE_REG("diag/avx512/w8", BM_DiagKernel, Isa::Avx512, Width::W8,
            ScoreScheme::Matrix);
+  for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
+    const std::string base = std::string("diag/") + simd::isa_name(isa) + "/adaptive/";
+    SWVE_REG((base + "homolog").c_str(), BM_DiagAdaptive, isa, true);
+    SWVE_REG((base + "random").c_str(), BM_DiagAdaptive, isa, false);
+  }
   SWVE_REG("baseline/striped", BM_Striped);
   SWVE_REG("baseline/scan", BM_Scan);
   SWVE_REG("baseline/diag", BM_DiagBasic);

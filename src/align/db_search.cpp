@@ -97,7 +97,10 @@ void BatchScan::finish(seq::SeqView query, const core::PreparedQuery* prep,
   auto lease = QueryStateCache::lease(ctx.query_cache);
   core::Workspace& ws = lease.ws();
   for (Hit& h : out.hits) {
-    core::Alignment a = core::diag_align(query, db[h.seq_index], cfg, ws, prep);
+    // The score is already exact: start at the rung that holds it.
+    core::Alignment a =
+        core::diag_align_from(query, db[h.seq_index], cfg, ws,
+                              core::narrowest_width(h.score, cfg), prep);
     h.end_query = a.end_query;
     h.end_ref = a.end_ref;
     out.stats += a.stats;

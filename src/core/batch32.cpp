@@ -317,8 +317,11 @@ void check_batch_scan(const AlignConfig& cfg, const Batch32Db& bdb) {
   if (cfg.band >= 0)
     throw std::invalid_argument("batch scan: banding is not supported by the "
                                 "inter-sequence kernel");
+  // 32 lanes run everywhere; 64 need AVX-512-VBMI or the scalar engine,
+  // which emulates either width.
   const int lanes = bdb.lanes();
-  if (lanes != batch_lanes_for(simd::resolve_isa(cfg.isa)) && lanes != 32)
+  const simd::Isa isa = simd::resolve_isa(cfg.isa);
+  if (lanes != 32 && lanes != batch_lanes_for(isa) && isa != simd::Isa::Scalar)
     throw std::invalid_argument("batch scan: database packed for a different ISA");
 }
 
@@ -329,10 +332,6 @@ void scan_batches(seq::SeqView q, const Batch32Db& bdb,
                   std::vector<LaneScore>& out, BatchSearchStats& stats) {
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   const int lanes = bdb.lanes();
-  // Wider re-score config: same scoring, diagonal kernel, adaptive from 16.
-  AlignConfig wide = cfg;
-  wide.width = Width::W16;
-  wide.isa = isa;
 
   // Feed batches to the kernel in groups of the resolved interleave depth:
   // the fused kernel keeps `group` independent dependency chains in flight.
@@ -356,17 +355,11 @@ void scan_batches(seq::SeqView q, const Batch32Db& bdb,
         const uint32_t seq_idx = batch[g].seq_index[k];
         int score = r8[g].max_score[k];
         if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-          // Exact re-score at 16 bits, escalating to 32 if needed.
+          // Exact re-score: the rest of the width ladder, from 16 bits.
           const seq::Sequence& s = db[seq_idx];
-          Alignment a = diag_align(q, s, wide, ws, prep);
-          if (a.saturated) {
-            AlignConfig wide32 = wide;
-            wide32.width = Width::W32;
-            a = diag_align(q, s, wide32, ws, prep);
-          }
-          score = a.score;
+          score = diag_align_from(q, s, cfg, ws, Width::W16, prep).score;
           stats.rescored++;
-          stats.rescored_cells += a.stats.cells;
+          stats.rescored_cells += q.length * s.length();
         }
         out.push_back(LaneScore{seq_idx, score});
       }

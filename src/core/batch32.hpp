@@ -217,6 +217,9 @@ struct BatchSearchStats {
                               ///< (padding included: max_len * lanes * m)
   uint64_t useful_cells8 = 0; ///< cells8 that landed on real residues
   uint64_t rescored = 0;      ///< sequences re-scored at 16/32 bits
+  /// Cells of the rescored lanes' exact alignments: m * length per lane,
+  /// whichever rung produced it. A 16-bit rung that saturated (and stopped
+  /// early, see core::diag_align_from) is not counted.
   uint64_t rescored_cells = 0;
 
   /// Useful fraction of the 8-bit kernel's work, in (0, 1]; 0 if none ran.
@@ -235,8 +238,8 @@ struct BatchSearchStats {
   }
 };
 /// Throws std::invalid_argument unless `cfg` (validated) can drive the
-/// batch kernel over `bdb`: no traceback, no band, lanes packed for the
-/// ISA `cfg` resolves to.
+/// batch kernel over `bdb`: no traceback, no band, and 32 lanes or the
+/// lanes of the ISA `cfg` resolves to (the scalar engine runs 32 and 64).
 void check_batch_scan(const AlignConfig& cfg, const Batch32Db& bdb);
 
 /// One scanned lane: original database index and exact score.
@@ -248,7 +251,7 @@ struct LaneScore {
 /// The batch scan loop every batch engine runs. Scores `q` against the
 /// batches `batch_ids` (any order), fusing them in groups of the resolved
 /// interleave depth, and re-scores saturated lanes exactly with the
-/// diagonal kernel's 16 -> 32-bit ladder. Appends one LaneScore per real
+/// diagonal kernel's width ladder from 16 bits (diag_align_from). Appends one LaneScore per real
 /// lane to `out` and adds the work to `stats`. `cfg` must pass
 /// check_batch_scan; `prep`, when non-null, must be a PreparedQuery built
 /// from exactly `q` (the ladder then skips rebuilding its query feeds).

@@ -22,8 +22,10 @@
 //     the global best and end cell (§III-D). Strict-improvement updates give
 //     the same (min i, then min j) tie-break as the golden scalar model;
 //   * 8/16-bit engines run in the unsigned biased domain with saturating
-//     arithmetic; if the observed maximum exceeds cap - bias - max_score the
-//     result is flagged saturated and the dispatcher re-runs wider.
+//     arithmetic; if the observed maximum reaches cap - bias - max_score the
+//     result is flagged saturated and the dispatcher re-runs wider. A pass
+//     with a wider rung after it (DiagRequest::stop_on_saturation) stops at
+//     the end of that anti-diagonal: its result is known to be discarded.
 #pragma once
 
 #include <bit>
@@ -52,6 +54,13 @@ struct DiagRequest {
   /// when set the kernel reads qmul32/qenc from here instead of rebuilding
   /// them into the workspace. Results are bit-identical either way.
   const PreparedQuery* prep = nullptr;
+  /// Set when a wider rung of the width ladder follows this pass: an
+  /// unsigned (8/16-bit) pass then stops at the end of the first
+  /// anti-diagonal whose running row maximum reaches the saturation limit,
+  /// and returns saturated = true with stats for the cells it ran. The
+  /// row maxima only grow, so it stops exactly when the full pass would end
+  /// saturated. Ignored by the 32-bit engine.
+  bool stop_on_saturation = false;
 };
 
 struct DiagOutput {
@@ -93,6 +102,13 @@ inline DiagRange diag_range(int d, int m, int n, int band) {
 }
 }  // namespace detail
 
+/// Smallest score at which an unsigned pass with element cap `cap` counts
+/// as saturated under `cfg`: below it, no biased intermediate reaches the
+/// cap, so the pass is exact.
+inline int64_t saturation_limit(int64_t cap, const AlignConfig& cfg) {
+  return cap - cfg.bias() - cfg.max_subst_score();
+}
+
 template <class E, GapModel GM, KMode SM, bool TB>
 DiagOutput diag_align_impl(const DiagRequest& rq) {
   using elem = typename E::elem;
@@ -111,8 +127,7 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   Workspace& ws = *rq.ws;
 
   const int bias = E::is_signed ? 0 : cfg.bias();
-  const int smax = cfg.max_subst_score();
-  const int64_t sat_limit = E::is_signed ? kCap : kCap - bias - smax;
+  const int64_t sat_limit = E::is_signed ? kCap : saturation_limit(kCap, cfg);
   const int64_t open64 = GM == GapModel::Affine ? cfg.gap_open : cfg.gap_extend;
   const int64_t ext64 = cfg.gap_extend;
   const int64_t open_c = open64 > kCap ? kCap : open64;  // clamped into elem
@@ -218,6 +233,11 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   const vec vopen = E::set1(open_c);
   const vec vext = E::set1(ext_c);
   const vec viota = E::iota();
+  // Early stop (see DiagRequest::stop_on_saturation): a lane that improves
+  // its row maximum past vsat has reached sat_limit.
+  [[maybe_unused]] const bool stop_on_sat = rq.stop_on_saturation;
+  [[maybe_unused]] const vec vsat = E::set1(sat_limit > 0 ? sat_limit - 1 : 0);
+  [[maybe_unused]] bool reached_sat = false;
   [[maybe_unused]] vec vmatch_b{}, vmis_b{};
   if constexpr (SM == KMode::Fixed) {
     auto clamp_elem = [&](int64_t v) {
@@ -315,6 +335,9 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     if (E::any(imp)) {
       E::storeu(rowmax + i, E::max(rm, h));
       E::store_bestd(bestd + i, imp, d);
+      // Lanes that did not improve hold h <= rowmax < sat_limit.
+      if constexpr (!E::is_signed)
+        if (stop_on_sat && E::any(E::cmpgt(h, vsat))) reached_sat = true;
     }
   };
 
@@ -372,11 +395,14 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     if (h > static_cast<int64_t>(rowmax[i])) {
       rowmax[i] = static_cast<elem>(h);
       bestd[i] = d;
+      if constexpr (!E::is_signed)
+        if (stop_on_sat && h >= sat_limit) reached_sat = true;
     }
   };
 
   // ---- main anti-diagonal sweep ---------------------------------------
-  for (int d = 0; d < m + n - 1; ++d) {
+  int diagonals = m + n - 1;
+  for (int d = 0; d < diagonals; ++d) {
     const auto [lo, hi] = detail::diag_range(d, m, n, cfg.band);
     if (hi < lo) {  // empty banded diagonal: just rotate the buffers
       elem* te = Hp2;
@@ -438,6 +464,8 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
       std::swap(Ec, Ep);
       std::swap(Fc, Fp);
     }
+    if constexpr (!E::is_signed)
+      if (reached_sat) diagonals = d + 1;  // a wider rung recomputes the rest
   }
 
   // ---- deferred global maximum (§III-D) --------------------------------
@@ -458,7 +486,7 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   out.stats.cells = vec_cells + scalar_cells;
   out.stats.vector_cells = vec_cells;
   out.stats.scalar_cells = scalar_cells;
-  out.stats.diagonals = static_cast<uint64_t>(m + n - 1);
+  out.stats.diagonals = static_cast<uint64_t>(diagonals);
   return out;
 }
 

@@ -194,8 +194,14 @@ DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {
   }
 }
 
-Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
-                     Workspace& ws, const PreparedQuery* prep) {
+namespace {
+
+// The width ladder (contribution iii): rungs `first` .. `last` in order
+// until one does not saturate. Every rung but the last stops as soon as it
+// saturates (DiagRequest::stop_on_saturation): its result is discarded.
+Alignment run_ladder(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
+                     Workspace& ws, const PreparedQuery* prep, Width first,
+                     Width last) {
   cfg.validate();
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   AlignConfig resolved = cfg;
@@ -211,26 +217,19 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
   rq.ws = &ws;
   rq.prep = prep;
 
-  Width ladder[3];
-  int steps = 0;
-  if (cfg.width == Width::Adaptive) {
-    ladder[steps++] = Width::W8;
-    ladder[steps++] = Width::W16;
-    ladder[steps++] = Width::W32;
-  } else {
-    ladder[steps++] = cfg.width;
-  }
-
   Alignment a;
   a.isa_used = isa;
   DiagOutput o;
-  for (int t = 0; t < steps; ++t) {
-    o = run_diag_kernel(rq, isa, ladder[t]);
-    a.width_used = ladder[t];
+  // Width lists the rungs narrowest first, so w + 1 is the next rung.
+  for (Width w = first;; w = static_cast<Width>(static_cast<int>(w) + 1)) {
+    rq.stop_on_saturation = w != last;
+    o = run_diag_kernel(rq, isa, w);
+    a.width_used = w;
     a.stats += o.stats;
     if (!o.saturated) break;
-    if (ladder[t] == Width::W8) a.saturated_8 = true;
-    if (ladder[t] == Width::W16) a.saturated_16 = true;
+    if (w == Width::W8) a.saturated_8 = true;
+    if (w == Width::W16) a.saturated_16 = true;
+    if (w == last) break;
   }
   a.score = o.score;
   a.end_query = o.end_query;
@@ -247,6 +246,29 @@ Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
     a.cigar = std::move(t.cigar);
   }
   return a;
+}
+
+}  // namespace
+
+Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
+                     Workspace& ws, const PreparedQuery* prep) {
+  if (cfg.width == Width::Adaptive)
+    return run_ladder(q, r, cfg, ws, prep, Width::W8, Width::W32);
+  return run_ladder(q, r, cfg, ws, prep, cfg.width, cfg.width);
+}
+
+Alignment diag_align_from(seq::SeqView q, seq::SeqView r,
+                          const AlignConfig& cfg, Workspace& ws, Width first,
+                          const PreparedQuery* prep) {
+  if (first == Width::Adaptive)
+    throw std::invalid_argument("diag_align_from: first rung must be concrete");
+  return run_ladder(q, r, cfg, ws, prep, first, Width::W32);
+}
+
+Width narrowest_width(int score, const AlignConfig& cfg) {
+  if (score < saturation_limit(UINT8_MAX, cfg)) return Width::W8;
+  if (score < saturation_limit(UINT16_MAX, cfg)) return Width::W16;
+  return Width::W32;
 }
 
 }  // namespace swve::core

@@ -67,12 +67,29 @@ int resolved_ilp(simd::Isa isa);
 void set_ilp_override(simd::Isa isa, IlpPolicy policy);
 
 /// Full alignment through the diagonal kernel family: resolves the ISA,
-/// runs the adaptive width ladder, and (if requested) walks the traceback.
+/// runs the adaptive width ladder (8 -> 16 -> 32 bits; a rung stops as soon
+/// as it saturates, since its result is discarded) or the one fixed width,
+/// and (if requested) walks the traceback.
 /// This is the paper's aligner; align::Aligner wraps it for public use.
 /// `prep`, when non-null, must be a PreparedQuery built from exactly `q`;
 /// the kernels then skip rebuilding the per-query feed arrays (bit-identical
 /// results, less per-call setup — see core::PreparedQuery).
 Alignment diag_align(seq::SeqView q, seq::SeqView r, const AlignConfig& cfg,
                      Workspace& ws, const PreparedQuery* prep = nullptr);
+
+/// diag_align's width ladder entered at rung `first` (W8, W16 or W32)
+/// whatever cfg.width says, climbing to W32 as needed. For callers that
+/// already know the narrower rungs are wasted: the batch rescore of a lane
+/// that saturated at 8 bits starts at W16, and a re-alignment of a known
+/// exact score starts at narrowest_width(score). The result is the same
+/// exact alignment an Adaptive diag_align returns (saturated_8/16 record
+/// only the rungs actually run).
+Alignment diag_align_from(seq::SeqView q, seq::SeqView r,
+                          const AlignConfig& cfg, Workspace& ws, Width first,
+                          const PreparedQuery* prep = nullptr);
+
+/// The narrowest rung of the width ladder that holds an exact score of
+/// `score` under `cfg` without saturating (W8, W16 or W32).
+Width narrowest_width(int score, const AlignConfig& cfg);
 
 }  // namespace swve::core

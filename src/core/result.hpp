@@ -63,6 +63,9 @@ class Cigar {
 };
 
 /// Cell accounting for the Fig 3 vector/scalar split and GCUPS math.
+/// Counts what the kernels ran: a width-ladder rung that stopped early on
+/// saturation counts only the cells and diagonals it ran, and an
+/// alignment's stats sum every rung it took.
 struct KernelStats {
   uint64_t cells = 0;         ///< total DP cells computed
   uint64_t vector_cells = 0;  ///< computed in full-width vector ops

@@ -483,7 +483,8 @@ class MetricsRegistry {
   void on_completed(Scenario s, double kernel_seconds,
                     uint64_t cells) noexcept {
     completed_.fetch_add(1, kRelaxed);
-    by_scenario_[static_cast<int>(s)].fetch_add(1, kRelaxed);
+    // Release pairs with snapshot()'s acquire (see there).
+    by_scenario_[static_cast<int>(s)].fetch_add(1, std::memory_order_release);
     cells_.fetch_add(cells, kRelaxed);
     const auto ns = static_cast<uint64_t>(kernel_seconds * 1e9);
     kernel_ns_.fetch_add(ns, kRelaxed);

@@ -2,21 +2,32 @@
 // gap model x score scheme x traceback) against the golden scalar model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <random>
+#include <string>
+#include <type_traits>
 
 #include "core/dispatch.hpp"
 #include "core/scalar_ref.hpp"
 #include "core/traceback.hpp"
+#include "matrix/score_matrix.hpp"
 #include "seq/synthetic.hpp"
 #include "simd/cpu.hpp"
 
 namespace swve::core {
 namespace {
 
+// gtest names each instance by the bytes of its parameter, so Param spells
+// out what would otherwise be padding: indeterminate padding bytes made the
+// names change whenever the heap history of test registration did.
 struct Param {
   simd::Isa isa;
   Width width;
+  uint8_t zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<Param>);
 
 std::vector<Param> kernel_params() {
   std::vector<Param> p;
@@ -244,6 +255,228 @@ TEST_P(DiagKernelTest, TracebackCellCapThrows) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, DiagKernelTest,
                          ::testing::ValuesIn(kernel_params()), param_name);
+
+// ---- early stop of narrow rungs ------------------------------------------
+//
+// A rung with a wider one after it stops at the end of the first
+// anti-diagonal whose row maximum reaches the saturation limit. The pairs
+// below put that first saturating cell exactly where the test wants it: the
+// only positive-scoring cells are a k x k block of one residue ('C') that
+// neither background alphabet contains, so H first reaches k * match at the
+// block's far corner (i*, j*), on anti-diagonal i* + j*, and nowhere
+// earlier.
+
+struct LadderScores {
+  int match, mismatch;
+  int k;  ///< block side: k * match first reaches the rung's limit
+};
+// Saturate 8 bits and fit in 16: limit 255 - 5 - 10 = 240 = 24 * 10, and
+// 255 - 1 - 85 = 169 <= 2 * 85.
+constexpr LadderScores kSat8{10, -5, 24};
+constexpr LadderScores kSat8Short{85, -1, 2};
+// Saturates 16 bits (limit 65535 - 1 - 127 = 65407 <= 516 * 127), and 8
+// bits at the block's first cell (limit 255 - 1 - 127 = 127).
+constexpr LadderScores kSat16{127, -1, 516};
+
+int diag_len(int d, int m, int n, int band) {
+  const auto [lo, hi] = detail::diag_range(d, m, n, band);
+  return hi >= lo ? hi - lo + 1 : 0;
+}
+
+uint64_t cells_through(int d, int m, int n, int band) {
+  uint64_t c = 0;
+  for (int t = 0; t <= d; ++t) c += static_cast<uint64_t>(diag_len(t, m, n, band));
+  return c;
+}
+
+// Row i of anti-diagonal d lies in the zero-masked tail vector of every
+// unsigned engine (8, 16, 32 or 64 lanes: the tail holds at least the last
+// len % 8 rows), after at least one full vector on each.
+bool in_masked_tail(int i, int d, int m, int n, int band) {
+  const auto [lo, hi] = detail::diag_range(d, m, n, band);
+  const int len = hi - lo + 1;
+  return len > 64 && i >= lo && i > hi - len % 8;
+}
+
+// One pair: where the first saturating cell (i_end, j_end) of the rung
+// under test sits, and the sequences that put it there.
+struct LadderPair {
+  LadderScores sc;
+  bool sat16;      ///< the block saturates 16 bits too
+  bool tail;       ///< masked tail vector (else a scalar diagonal)
+  int m, n, i_end, j_end;
+  seq::Sequence q, r;
+};
+
+LadderPair ladder_pair(LadderScores sc, bool sat16, bool tail, int m, int n,
+                       int band) {
+  LadderPair p{sc, sat16, tail, m, n, -1, -1, {}, {}};
+  if (!tail && !sat16) {  // diagonal 2 (three cells): the first cells
+    p.i_end = p.j_end = sc.k - 1;
+  } else if (!tail) {  // the last diagonal (one cell)
+    p.i_end = m - 1;
+    p.j_end = n - 1;
+  } else {  // the earliest cell in a masked tail
+    for (int d = 0; d < m + n - 1 && p.i_end < 0; ++d)
+      for (int i = sc.k - 1; i < m && i <= d; ++i) {
+        const int j = d - i;
+        if (j >= sc.k - 1 && j < n && (band < 0 || std::abs(i - j) <= band) &&
+            in_masked_tail(i, d, m, n, band)) {
+          p.i_end = i;
+          p.j_end = j;
+          break;
+        }
+      }
+  }
+  std::mt19937_64 rng(static_cast<uint64_t>(m * 31 + p.i_end));
+  auto fill = [&](int len, const char* letters, int end) {
+    const size_t kinds = std::strlen(letters);
+    std::string s(static_cast<size_t>(len), ' ');
+    for (char& c : s) c = letters[rng() % kinds];
+    for (int t = end - sc.k + 1; t <= end; ++t) s[static_cast<size_t>(t)] = 'C';
+    return s;
+  };
+  const auto& abc = seq::Alphabet::protein();
+  p.q = seq::Sequence("q", fill(m, "ARNDQEGHIK", p.i_end), abc);
+  p.r = seq::Sequence("r", fill(n, "LMFPSTWYV", p.j_end), abc);
+  return p;
+}
+
+void expect_same_alignment(const Alignment& got, const Alignment& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.saturated, want.saturated) << what;
+  EXPECT_EQ(got.score, want.score) << what;
+  EXPECT_EQ(got.end_query, want.end_query) << what;
+  EXPECT_EQ(got.end_ref, want.end_ref) << what;
+  EXPECT_EQ(got.begin_query, want.begin_query) << what;
+  EXPECT_EQ(got.begin_ref, want.begin_ref) << what;
+  EXPECT_EQ(got.cigar, want.cigar) << what;
+}
+
+// Every built ISA x gap model x score delivery (and Fixed) x traceback x
+// band, on pairs whose first saturating cell is in a masked tail vector or
+// on a scalar (<= 4-cell) diagonal, at 8 and at 16 bits.
+void check_ladder_pair(const LadderPair& p, int band, Workspace& ws) {
+  ASSERT_GE(p.i_end, 0) << "no masked-tail cell for band " << band;
+  const int m = p.m, n = p.n, ie = p.i_end, je = p.j_end;
+  const int d_end = ie + je;
+  if (p.tail)
+    ASSERT_TRUE(in_masked_tail(ie, d_end, m, n, band));
+  else
+    ASSERT_LE(diag_len(d_end, m, n, band), detail::kScalarDiagonal);
+  std::vector<simd::Isa> isas = {simd::Isa::Scalar};
+  for (simd::Isa isa : {simd::Isa::Sse41, simd::Isa::Avx2, simd::Isa::Avx512})
+    if (simd::isa_available(isa)) isas.push_back(isa);
+  const matrix::ScoreMatrix mat = matrix::ScoreMatrix::match_mismatch(
+      p.sc.match, p.sc.mismatch, seq::Alphabet::protein());
+
+  // What the stopped rungs ran: through the diagonal of their first
+  // saturating cell. A block that saturates 16 bits saturates the 8-bit
+  // rung at its first cell.
+  const uint64_t full = cells_through(m + n - 2, m, n, band);
+  const int d8 = p.sat16 ? d_end - 2 * (p.sc.k - 1) : d_end;
+  uint64_t want_cells = cells_through(d8, m, n, band) + full;
+  uint64_t want_diags = static_cast<uint64_t>(d8 + 1 + m + n - 1);
+  if (p.sat16) {
+    want_cells += cells_through(d_end, m, n, band);
+    want_diags += static_cast<uint64_t>(d_end + 1);
+  }
+
+  for (GapModel gm : {GapModel::Affine, GapModel::Linear})
+    for (int mode = 0; mode < 4; ++mode)
+      for (bool tb : {false, true}) {
+        AlignConfig cfg;
+        cfg.gap_model = gm;
+        cfg.traceback = tb;
+        cfg.band = band;
+        if (mode == 3) {
+          cfg.scheme = ScoreScheme::Fixed;
+          cfg.match = p.sc.match;
+          cfg.mismatch = p.sc.mismatch;
+        } else {
+          cfg.matrix = &mat;
+          cfg.delivery = mode == 0   ? ScoreDelivery::Gather
+                         : mode == 1 ? ScoreDelivery::Fill
+                                     : ScoreDelivery::Shuffle;
+        }
+        const Alignment ref = ref_align(p.q, p.r, cfg);
+        ASSERT_EQ(ref.score, p.sc.k * p.sc.match);
+        ASSERT_EQ(ref.end_query, ie);
+        ASSERT_EQ(ref.end_ref, je);
+        for (simd::Isa isa : isas) {
+          const std::string what =
+              std::string(simd::isa_name(isa)) + (p.sat16 ? " sat16" : " sat8") +
+              (p.tail ? " tail" : " scalar") + " band " + std::to_string(band) +
+              " gap " + std::to_string(static_cast<int>(gm)) + " mode " +
+              std::to_string(mode) + " tb " + std::to_string(tb);
+          cfg.isa = isa;
+          cfg.width = Width::Adaptive;
+          const Alignment a = diag_align(p.q, p.r, cfg, ws);
+          EXPECT_TRUE(a.saturated_8) << what;
+          EXPECT_EQ(a.saturated_16, p.sat16) << what;
+          EXPECT_EQ(a.width_used, p.sat16 ? Width::W32 : Width::W16) << what;
+          expect_same_alignment(a, ref, what);
+          EXPECT_EQ(a.stats.cells, want_cells) << what;
+          EXPECT_EQ(a.stats.diagonals, want_diags) << what;
+          // Under 2 m*n, except where the 16-bit rung saturates only on the
+          // last diagonal and so runs everything.
+          EXPECT_LT(a.stats.cells, (p.sat16 && !p.tail ? 3 : 2) * full) << what;
+
+          cfg.width = narrowest_width(ref.score, cfg);
+          EXPECT_EQ(cfg.width, a.width_used) << what;
+          const Alignment rung = diag_align(p.q, p.r, cfg, ws);
+          expect_same_alignment(rung, a, what + " fixed rung");
+          EXPECT_EQ(rung.stats.cells, full) << what;
+
+          cfg.width = Width::W8;  // no wider rung: the full pass
+          const Alignment w8 = diag_align(p.q, p.r, cfg, ws);
+          EXPECT_TRUE(w8.saturated) << what;
+          EXPECT_EQ(w8.stats.cells, full) << what;
+          if (band < 0) {
+            EXPECT_EQ(full, static_cast<uint64_t>(m) * static_cast<uint64_t>(n));
+          }
+        }
+      }
+}
+
+TEST(DiagLadder, NarrowRungsStopAtTheirFirstSaturatedDiagonal) {
+  Workspace ws;
+  for (int band : {-1, 80}) {
+    SCOPED_TRACE(band);
+    check_ladder_pair(ladder_pair(kSat8, false, true, 108, 128, band), band, ws);
+    check_ladder_pair(ladder_pair(kSat8Short, false, false, 100, 120, band), band, ws);
+    check_ladder_pair(ladder_pair(kSat16, true, true, 600, 620, band), band, ws);
+    check_ladder_pair(ladder_pair(kSat16, true, false, 600, 620, band), band, ws);
+  }
+}
+
+TEST(DiagLadder, EntersAtTheRungThatHoldsAKnownScore) {
+  // diag_align_from starting at narrowest_width(exact score) returns the
+  // Adaptive alignment in one rung; entering too narrow still climbs.
+  Workspace ws;
+  auto q = seq::generate_sequence(21, 300);
+  auto hom = seq::mutate(q, 22, 0.1);
+  auto rnd = seq::generate_sequence(23, 280);
+  AlignConfig cfg;
+  cfg.traceback = true;
+  for (const seq::Sequence* r : {&hom, &rnd}) {
+    const Alignment ref = ref_align(q, *r, cfg);
+    const Width first = narrowest_width(ref.score, cfg);
+    const Alignment a = diag_align_from(q, *r, cfg, ws, first);
+    EXPECT_EQ(a.width_used, first);
+    EXPECT_FALSE(a.saturated_8);
+    expect_same_alignment(a, ref, "known score");
+    EXPECT_EQ(a.stats.cells, q.length() * r->length());
+    const Alignment climbed = diag_align_from(q, *r, cfg, ws, Width::W8);
+    expect_same_alignment(climbed, ref, "from w8");
+  }
+  EXPECT_EQ(narrowest_width(0, cfg), Width::W8);
+  EXPECT_EQ(narrowest_width(255 - cfg.bias() - cfg.max_subst_score(), cfg),
+            Width::W16);
+  EXPECT_EQ(narrowest_width(65535, cfg), Width::W32);
+  EXPECT_THROW(diag_align_from(q, rnd, cfg, ws, Width::Adaptive),
+               std::invalid_argument);
+}
 
 TEST(DiagDispatch, RejectsAdaptiveWidthAtKernelLevel) {
   DiagRequest rq;
