@@ -44,9 +44,8 @@ std::vector<Hit> TopK::sorted() && {
 }
 
 void BatchScan::label(obs::Span& span) const {
-  // Per-K kernel variant: the PMU attribution cell (and the exported
-  // swve_pmu_* family) separates interleave depths, so IPC/backend-stall
-  // deltas across K stay visible in a live service.
+  // Per-K label: the PMU attribution cell (and the exported swve_pmu_*
+  // family) separates scan grains; the kernel is the same for every K.
   span.set_kernel(perf::batch_kernel_variant(k));
   span.set_ilp(static_cast<uint8_t>(k));
   span.set_isa(isa);

@@ -122,7 +122,7 @@ struct ScanUnits {
 /// PreparedQuery or null.
 struct BatchScan {
   /// Fewer units than this per slot and the last unit claimed decides the
-  /// wall time; units then shrink below the interleave depth.
+  /// wall time; units then shrink below the grain K.
   static constexpr size_t kUnitsPerSlot = 4;
 
   const seq::SequenceDatabase& db;
@@ -131,11 +131,11 @@ struct BatchScan {
   const ExecContext& ctx;
   size_t top_k;
   simd::Isa isa = simd::resolve_isa(cfg.isa);
-  int k = core::resolved_ilp(isa);  ///< interleave depth, resolved once
+  int k = core::resolved_ilp(isa);  ///< unit grain, resolved once
 
-  /// Cuts `order` into units for `slots` workers: K batches each (one
-  /// fused kernel pass), or fewer when that would leave a slot fewer than
-  /// kUnitsPerSlot units. Results do not depend on the cut.
+  /// Cuts `order` into units for `slots` workers: K batches each, or fewer
+  /// when that would leave a slot fewer than kUnitsPerSlot units. Results
+  /// do not depend on the cut.
   ScanUnits units(std::span<const uint32_t> order, size_t slots) const noexcept;
   /// Labels `span` with the batch kernel (per-K variant, ISA, lanes).
   void label(obs::Span& span) const;

@@ -218,92 +218,38 @@ Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t 
   return batch32_kernel<EmuBatchEngine<32>>(q, columns, cols, cfg, ws);
 }
 
-void batch32_u8_scalar_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           int lanes, const AlignConfig& cfg, Workspace& ws,
-                           Batch8Result* out) {
-  if (lanes == 64) {
-    if (k == 4)
-      batch32_kernel_ilp<EmuBatchEngine<64>, 4>(q, batches, cfg, ws, out);
-    else
-      batch32_kernel_ilp<EmuBatchEngine<64>, 2>(q, batches, cfg, ws, out);
-  } else {
-    if (k == 4)
-      batch32_kernel_ilp<EmuBatchEngine<32>, 4>(q, batches, cfg, ws, out);
-    else
-      batch32_kernel_ilp<EmuBatchEngine<32>, 2>(q, batches, cfg, ws, out);
-  }
-}
+namespace {
 
-Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
-                              const AlignConfig& cfg, Workspace& ws, simd::Isa isa) {
-  cfg.validate();
+Batch8Result batch32_dispatch(seq::SeqView q, const uint8_t* columns,
+                              uint32_t cols, int lanes, const AlignConfig& cfg,
+                              Workspace& ws, simd::Isa isa) {
 #if defined(SWVE_HAVE_AVX512_BUILD)
   if (lanes == 64 && isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi)
-    return batch32_u8_avx512(q, batch.columns, batch.max_len, cfg, ws);
+    return batch32_u8_avx512(q, columns, cols, cfg, ws);
 #endif
 #if defined(SWVE_HAVE_AVX2_BUILD)
   if (lanes == 32 && (isa == simd::Isa::Avx2 || isa == simd::Isa::Avx512) &&
       simd::cpu_features().avx2)
-    return batch32_u8_avx2(q, batch.columns, batch.max_len, cfg, ws);
+    return batch32_u8_avx2(q, columns, cols, cfg, ws);
 #endif
-  return batch32_u8_scalar(q, batch.columns, batch.max_len, lanes, cfg, ws);
+  return batch32_u8_scalar(q, columns, cols, lanes, cfg, ws);
+}
+
+}  // namespace
+
+Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
+                              const AlignConfig& cfg, Workspace& ws, simd::Isa isa) {
+  cfg.validate();
+  return batch32_dispatch(q, batch.columns, batch.max_len, lanes, cfg, ws, isa);
 }
 
 void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
                             int lanes, const AlignConfig& cfg, Workspace& ws,
-                            simd::Isa isa, int k_interleave, Batch8Result* out) {
+                            simd::Isa isa, int /*k_interleave*/, Batch8Result* out) {
   cfg.validate();
-  k_interleave = std::clamp(k_interleave, 1, kMaxBatchInterleave);
-#if defined(SWVE_HAVE_AVX512_BUILD)
-  const bool use_avx512 =
-      lanes == 64 && isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi;
-#else
-  const bool use_avx512 = false;
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-  const bool use_avx2 = lanes == 32 &&
-                        (isa == simd::Isa::Avx2 || isa == simd::Isa::Avx512) &&
-                        simd::cpu_features().avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-  (void)use_avx512;
-  (void)use_avx2;
-
-  int done = 0;
-  while (done < count) {
-    // Largest supported sub-group (4, 2, or 1) that fits what's left.
-    int k = std::min(k_interleave, count - done);
-    k = k >= 4 ? 4 : (k >= 2 ? 2 : 1);
-    const BatchCols* grp = batches + done;
-    Batch8Result* o = out + done;
-    if (k == 1) {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-      if (use_avx512)
-        o[0] = batch32_u8_avx512(q, grp[0].columns, grp[0].ncols, cfg, ws);
-      else
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-      if (use_avx2)
-        o[0] = batch32_u8_avx2(q, grp[0].columns, grp[0].ncols, cfg, ws);
-      else
-#endif
-        o[0] = batch32_u8_scalar(q, grp[0].columns, grp[0].ncols, lanes, cfg, ws);
-    } else {
-#if defined(SWVE_HAVE_AVX512_BUILD)
-      if (use_avx512)
-        batch32_u8_avx512_ilp(q, grp, k, cfg, ws, o);
-      else
-#endif
-#if defined(SWVE_HAVE_AVX2_BUILD)
-      if (use_avx2)
-        batch32_u8_avx2_ilp(q, grp, k, cfg, ws, o);
-      else
-#endif
-        batch32_u8_scalar_ilp(q, grp, k, lanes, cfg, ws, o);
-    }
-    done += k;
-  }
+  for (int b = 0; b < count; ++b)
+    out[b] = batch32_dispatch(q, batches[b].columns, batches[b].ncols, lanes, cfg,
+                              ws, isa);
 }
 
 int batch_lanes_for(simd::Isa isa) noexcept {
@@ -330,41 +276,28 @@ void scan_batches(seq::SeqView q, const Batch32Db& bdb,
                   std::span<const uint32_t> batch_ids, const AlignConfig& cfg,
                   Workspace& ws, const PreparedQuery* prep,
                   std::vector<LaneScore>& out, BatchSearchStats& stats) {
+  cfg.validate();
   const simd::Isa isa = simd::resolve_isa(cfg.isa);
   const int lanes = bdb.lanes();
-
-  // Feed batches to the kernel in groups of the resolved interleave depth:
-  // the fused kernel keeps `group` independent dependency chains in flight.
-  const int k_ilp = resolved_ilp(isa);
-  for (size_t i = 0; i < batch_ids.size();) {
-    const int group = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(k_ilp), batch_ids.size() - i));
-    Batch32Db::Batch batch[kMaxBatchInterleave];
-    BatchCols cols[kMaxBatchInterleave];
-    Batch8Result r8[kMaxBatchInterleave];
-    for (int g = 0; g < group; ++g) {
-      batch[g] = bdb.batch(batch_ids[i + static_cast<size_t>(g)]);
-      cols[g] = BatchCols{batch[g].columns, batch[g].max_len};
-    }
-    batch32_align_u8_group(q, cols, group, lanes, cfg, ws, isa, k_ilp, r8);
-    for (int g = 0; g < group; ++g) {
-      stats.cells8 += static_cast<uint64_t>(batch[g].max_len) * q.length *
-                      static_cast<uint64_t>(lanes);
-      stats.useful_cells8 += batch[g].real_residues * q.length;
-      for (uint32_t k = 0; k < batch[g].count; ++k) {
-        const uint32_t seq_idx = batch[g].seq_index[k];
-        int score = r8[g].max_score[k];
-        if (r8[g].saturated_mask & (uint64_t{1} << k)) {
-          // Exact re-score: the rest of the width ladder, from 16 bits.
-          const seq::Sequence& s = db[seq_idx];
-          score = diag_align_from(q, s, cfg, ws, Width::W16, prep).score;
-          stats.rescored++;
-          stats.rescored_cells += q.length * s.length();
-        }
-        out.push_back(LaneScore{seq_idx, score});
+  for (const uint32_t id : batch_ids) {
+    const Batch32Db::Batch batch = bdb.batch(id);
+    const Batch8Result r8 =
+        batch32_dispatch(q, batch.columns, batch.max_len, lanes, cfg, ws, isa);
+    stats.cells8 += static_cast<uint64_t>(batch.max_len) * q.length *
+                    static_cast<uint64_t>(lanes);
+    stats.useful_cells8 += batch.real_residues * q.length;
+    for (uint32_t k = 0; k < batch.count; ++k) {
+      const uint32_t seq_idx = batch.seq_index[k];
+      int score = r8.max_score[k];
+      if (r8.saturated_mask & (uint64_t{1} << k)) {
+        // Exact re-score: the rest of the width ladder, from 16 bits.
+        const seq::Sequence& s = db[seq_idx];
+        score = diag_align_from(q, s, cfg, ws, Width::W16, prep).score;
+        stats.rescored++;
+        stats.rescored_cells += q.length * s.length();
       }
+      out.push_back(LaneScore{seq_idx, score});
     }
-    i += static_cast<size_t>(group);
   }
 }
 

@@ -7,8 +7,8 @@
 // Fig 1 — no intra-matrix dependencies at all). Substitution scores come
 // from an in-register 32-entry lookup of the query residue's matrix row:
 // the row is exactly one 256-bit load (rows are padded to 32 bytes), and
-// the lookup is vpermb under AVX-512-VBMI or a double-pshufb+blend under
-// AVX2 ("extract scores with AVX shuffling instructions").
+// the lookup is vpermb under AVX-512-VBMI or a double-pshufb under AVX2
+// ("extract scores with AVX shuffling instructions").
 //
 // The kernel is 8-bit and score-only: it is the high-throughput scoring
 // front end of scenario 2 (batch of queries vs database). Lanes that
@@ -173,17 +173,26 @@ struct Batch8Result {
   uint64_t saturated_mask;  ///< lanes whose max hit the saturation bound
 };
 
-/// One batch's transposed column stream, as fed to the interleaved kernel
-/// family (a Batch32Db::Batch minus the index metadata).
+/// One batch's transposed column stream, as fed to batch32_align_u8_group
+/// (a Batch32Db::Batch minus the index metadata).
 struct BatchCols {
   const uint8_t* columns = nullptr;  ///< ncols blocks of `lanes` bytes
   uint32_t ncols = 0;                ///< the batch's max_len
 };
 
-/// Software-prefetch distance of the batch kernels, in columns: while
-/// walking column j the kernel prefetches column j+distance of every
-/// in-flight batch. 0 disables prefetch. Thread-safe; tunable at runtime
-/// (the GA tuner co-tunes it with interleave depth and compiler flags).
+/// Columns per strip of the batch kernel at `lanes` lanes (see
+/// batch32_kernel.hpp), set by a sweep over C = 1..8 (docs/performance.md
+/// "Column strips"): 4 for 64-lane AVX-512, where 4 to 8 run at the same
+/// speed, and 6 for 32-lane AVX2, the fastest despite some spills. The
+/// emulated engine uses the width of the SIMD engine with its lane count.
+/// Results never depend on it.
+constexpr int batch_strip_cols(int lanes) noexcept { return lanes == 64 ? 4 : 6; }
+
+/// Software-prefetch distance of the batch kernel, in columns: once per
+/// column strip starting at column j, the kernel prefetches the strip's
+/// column blocks from column j+distance on. 0 disables prefetch.
+/// Thread-safe; tunable at runtime (the GA tuner co-tunes it with compiler
+/// flags).
 inline constexpr uint32_t kDefaultBatchPrefetchCols = 4;
 uint32_t batch_prefetch_distance() noexcept;
 /// Clamped to [0, 64]. Results are bit-identical for every distance.
@@ -196,12 +205,11 @@ void set_batch_prefetch_distance(uint32_t cols) noexcept;
 Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int lanes,
                               const AlignConfig& cfg, Workspace& ws, simd::Isa isa);
 
-/// Run the 8-bit kernel over `count` independent batches, interleaving up
-/// to `k_interleave` of them (1, 2, or 4) per fused kernel pass — the
-/// software-pipelined path that keeps several dependency chains in flight.
-/// Ragged groups (count not divisible by k_interleave) decompose into the
-/// largest supported sub-groups. out[i] receives batch i's result,
-/// bit-identical to `count` batch32_align_u8 calls for every K and ISA.
+/// Run the 8-bit kernel over `count` independent batches, one after the
+/// other: out[i] receives batch i's result, bit-identical to a
+/// batch32_align_u8 call. `k_interleave` is accepted for existing callers
+/// and has no effect (the column strips keep several dependency chains in
+/// flight within one batch).
 void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
                             int lanes, const AlignConfig& cfg, Workspace& ws,
                             simd::Isa isa, int k_interleave, Batch8Result* out);
@@ -211,7 +219,7 @@ void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
 int batch_lanes_for(simd::Isa isa) noexcept;
 
 /// Work accounting of a batch scan (exact counts: the same for every
-/// schedule, thread count and interleave depth).
+/// schedule and thread count).
 struct BatchSearchStats {
   uint64_t cells8 = 0;        ///< DP cells done by the 8-bit batch kernel
                               ///< (padding included: max_len * lanes * m)
@@ -249,9 +257,9 @@ struct LaneScore {
 };
 
 /// The batch scan loop every batch engine runs. Scores `q` against the
-/// batches `batch_ids` (any order), fusing them in groups of the resolved
-/// interleave depth, and re-scores saturated lanes exactly with the
-/// diagonal kernel's width ladder from 16 bits (diag_align_from). Appends one LaneScore per real
+/// batches `batch_ids` (any order), one batch per kernel call, and
+/// re-scores saturated lanes exactly with the diagonal kernel's width
+/// ladder from 16 bits (diag_align_from). Appends one LaneScore per real
 /// lane to `out` and adds the work to `stats`. `cfg` must pass
 /// check_batch_scan; `prep`, when non-null, must be a PreparedQuery built
 /// from exactly `q` (the ladder then skips rebuilding its query feeds).
@@ -269,24 +277,16 @@ std::vector<int> batch_scores(seq::SeqView q, const Batch32Db& bdb,
                               Workspace& ws, BatchSearchStats* stats = nullptr,
                               const PreparedQuery* prep = nullptr);
 
-// Per-ISA kernel entry points (internal; exposed for tests/benches). The
-// *_ilp variants run exactly `k` batches fused (k in {2, 4}).
+// Per-ISA kernel entry points (internal; exposed for tests/benches).
 Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                int lanes, const AlignConfig& cfg, Workspace& ws);
-void batch32_u8_scalar_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           int lanes, const AlignConfig& cfg, Workspace& ws,
-                           Batch8Result* out);
 #if defined(SWVE_HAVE_AVX2_BUILD)
 Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                              const AlignConfig& cfg, Workspace& ws);  // 32 lanes
-void batch32_u8_avx2_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                         const AlignConfig& cfg, Workspace& ws, Batch8Result* out);
 #endif
 #if defined(SWVE_HAVE_AVX512_BUILD)
 Batch8Result batch32_u8_avx512(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                                const AlignConfig& cfg, Workspace& ws);  // 64 lanes
-void batch32_u8_avx512_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                           const AlignConfig& cfg, Workspace& ws, Batch8Result* out);
 #endif
 
 }  // namespace swve::core

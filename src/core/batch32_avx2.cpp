@@ -1,5 +1,5 @@
 // AVX2 batch engine: 32 sequence lanes, matrix-row lookup via two pshufb
-// halves + high-bit blend (compiled with -mavx2).
+// halves (compiled with -mavx2).
 #include <immintrin.h>
 
 #include "core/batch32_kernel.hpp"
@@ -11,33 +11,44 @@ namespace {
 struct BatchAvx2 {
   using vec = __m256i;
   static constexpr int lanes = 32;
+  static constexpr int strip = batch_strip_cols(lanes);
 
-  static vec zero() { return _mm256_setzero_si256(); }
+  // Per column: the symbol as an index into each 16-entry row half, with
+  // bit 7 set (pshufb then yields 0) where the other half holds the entry.
+  // Depends only on the column, so it is built once per strip.
+  struct col_t {
+    __m256i lo, hi;
+  };
+  // Per query row: the 32-byte score row, each half in both 128-bit lanes.
+  struct row_t {
+    __m256i lo, hi;
+  };
+
   static vec set1(int x) { return _mm256_set1_epi8(static_cast<char>(x)); }
-  static vec load(const uint8_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  static vec load(const void* p) {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
   }
-  static void store(uint8_t* p, vec a) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
+  static void store(void* p, vec a) {
+    _mm256_storeu_si256(static_cast<__m256i*>(p), a);
   }
-  static vec adds(vec a, vec b) { return _mm256_adds_epu8(a, b); }
-  static vec subs(vec a, vec b) { return _mm256_subs_epu8(a, b); }
-  static vec max(vec a, vec b) { return _mm256_max_epu8(a, b); }
-  static vec select_eq(vec a, vec b, vec t, vec f) {
-    return _mm256_blendv_epi8(f, t, _mm256_cmpeq_epi8(a, b));
+  static vec adds(vec a, vec b) { return _mm256_adds_epi8(a, b); }
+  static vec subs(vec a, vec b) { return _mm256_subs_epi8(a, b); }
+  static vec max(vec a, vec b) { return _mm256_max_epi8(a, b); }
+  static col_t prep_col(vec sym) {
+    // sym in [0, 32): +0x70 keeps 0..15 below 0x80 and pushes 16..31 to
+    // 0x80.., -0x10 maps 16..31 to 0..15 and wraps 0..15 to 0xF0...
+    return {_mm256_add_epi8(sym, _mm256_set1_epi8(0x70)),
+            _mm256_sub_epi8(sym, _mm256_set1_epi8(0x10))};
   }
-  static vec lookup32(const uint8_t* row32, vec idx) {
-    // One 256-bit row load (rows are padded to exactly 32 bytes, Fig 4);
-    // pshufb looks up 16-entry halves, the idx>15 mask selects the half.
-    const __m128i lo128 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row32));
-    const __m128i hi128 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row32 + 16));
-    const __m256i rowlo = _mm256_broadcastsi128_si256(lo128);
-    const __m256i rowhi = _mm256_broadcastsi128_si256(hi128);
-    const __m256i lo = _mm256_shuffle_epi8(rowlo, idx);
-    const __m256i hi = _mm256_shuffle_epi8(rowhi, idx);
-    const __m256i is_hi = _mm256_cmpgt_epi8(idx, _mm256_set1_epi8(15));
-    return _mm256_blendv_epi8(lo, hi, is_hi);
+  static row_t load_row(const int8_t* row32) {
+    return {_mm256_broadcastsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(row32))),
+            _mm256_broadcastsi128_si256(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(row32 + 16)))};
+  }
+  static vec lookup(const row_t& row, const col_t& idx) {
+    return _mm256_or_si256(_mm256_shuffle_epi8(row.lo, idx.lo),
+                           _mm256_shuffle_epi8(row.hi, idx.hi));
   }
   static void prefetch(const void* p) {
     _mm_prefetch(static_cast<const char*>(p), _MM_HINT_T0);
@@ -49,14 +60,6 @@ struct BatchAvx2 {
 Batch8Result batch32_u8_avx2(seq::SeqView q, const uint8_t* columns, uint32_t cols,
                              const AlignConfig& cfg, Workspace& ws) {
   return batch32_kernel<BatchAvx2>(q, columns, cols, cfg, ws);
-}
-
-void batch32_u8_avx2_ilp(seq::SeqView q, const BatchCols* batches, int k,
-                         const AlignConfig& cfg, Workspace& ws, Batch8Result* out) {
-  if (k == 4)
-    batch32_kernel_ilp<BatchAvx2, 4>(q, batches, cfg, ws, out);
-  else
-    batch32_kernel_ilp<BatchAvx2, 2>(q, batches, cfg, ws, out);
 }
 
 }  // namespace swve::core

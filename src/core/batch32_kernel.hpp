@@ -1,31 +1,37 @@
-// Template body of the inter-sequence batch kernel family (see batch32.hpp).
-// Instantiated per batch engine: emulated (any CPU), AVX2 (32 lanes,
-// double-pshufb row lookup), AVX-512-VBMI (64 lanes, vpermb row lookup).
+// Template body of the inter-sequence batch kernel (see batch32.hpp): one
+// body for every batch engine — emulated (any CPU, 32 or 64 lanes), AVX2
+// (32 lanes, double-pshufb row lookup) and AVX-512-VBMI (64 lanes, vpermb
+// row lookup).
 //
-// Two shapes share one column-update body:
-//   batch32_kernel<BE>        — one batch, the classic Fig 5 loop.
-//   batch32_kernel_ilp<BE, K> — K independent batches fused into a single
-//     column loop. Each row iteration round-robins the H/E/F recurrences of
-//     all K batches, so the core always has K independent dependency chains
-//     in flight instead of stalling on the single chain's adds/max latency
-//     (the batch kernel is backend-bound at K=1 — see docs/performance.md).
-//     Column blocks of every in-flight batch are software-prefetched
-//     `batch_prefetch_distance()` columns ahead.
+// Column strips. One pass walks BE::strip database columns (C) down every
+// query row. The strip's E, diagonal-H and score-index vectors stay in
+// registers: the H/F state of query row i is loaded and stored once per
+// strip, not once per cell, and the gap-open term of cell (i, c) is also
+// the F-open term of cell (i, c + 1). Cell (i, c) needs only (i, c - 1),
+// (i - 1, c) and (i - 1, c - 1), so a strip is a wavefront with C chains in
+// flight — the instruction-level parallelism the old fused K-batch loop
+// bought with more batches. C is a per-engine constant set by measurement
+// (docs/performance.md "Column strips"); results never depend on it.
 //
-// Interleaving never changes results: lanes of different batches share no
-// state, and each batch's own recurrence is evaluated in exactly the K=1
-// order, so batch32_kernel_ilp is bit-identical to K calls of
-// batch32_kernel (asserted across ISAs by tests/test_batch_ilp.cpp).
+// Signed offset domain. H, E and F are int8 values offset by -128: byte
+// -128 is score 0 and byte 127 is score 255. Signed saturating adds then
+// floors at score 0 by itself, so H = max(adds(Hdiag, s), E, F) needs no
+// bias add/subtract pair, and scores come straight from a signed 32-entry
+// row (ScoreMatrix::rows_s8). The 8-bit saturation limit is the one of the
+// unsigned domain, so saturated lanes are the same (docs/kernel.md
+// "Arithmetic domains").
 //
 // Batch engine concept:
-//   vec, lanes
-//   zero/set1/load/store        — byte vectors
-//   adds/subs/max               — unsigned saturating (epu8 semantics)
-//   select_eq(a, b, t, f)       — per lane: a == b ? t : f
-//   lookup32(row32, idx)        — per lane: row32[idx], idx in [0, 32)
-//   prefetch(p)                 — hint a future column block into cache
+//   vec, lanes, strip            — byte vector, lanes per vector, C
+//   set1/load/store              — byte vectors
+//   adds/subs/max                — signed saturating (epi8 semantics)
+//   col_t prep_col(sym)          — per-column lookup index, built per strip
+//   row_t load_row(row32)        — a query residue's 32 signed scores
+//   lookup(row, col)             — per lane: row32[sym]
+//   prefetch(p)                  — hint a future column block into cache
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -36,274 +42,210 @@
 
 namespace swve::core {
 
-/// Per-call constants of the batch kernel, hoisted out of the column loops
-/// so the single-batch walker and the fused K-batch loop share one setup.
+/// Per-call constants of the batch kernel.
 template <class BE>
 struct BatchKernelSetup {
   using vec = typename BE::vec;
-  vec vzero, vbias, vopen, vext, vmatch, vmis;
-  const uint8_t* rows = nullptr;  // biased matrix rows (Matrix scheme)
-  bool affine = false;
-  bool use_matrix = false;
-  int m = 0;
-  int sat_limit = 0;
+  vec vopen, vext;  // gap penalties, clamped to a signed byte
+  const int8_t* rows = nullptr;  // signed score rows, one per query residue
+  int sat_limit = 0;             // lanes whose max reaches this re-score
+  // Fixed scheme's score rows (match on the diagonal), built per call.
+  alignas(64) std::array<int8_t, seq::kMatrixStride * seq::kMatrixStride>
+      fixed_rows{};
 
-  BatchKernelSetup(seq::SeqView q, const AlignConfig& cfg) {
-    m = static_cast<int>(q.length);
-    affine = cfg.gap_model == GapModel::Affine;
-    use_matrix = cfg.scheme == ScoreScheme::Matrix;
-    const int bias = cfg.bias();
-    sat_limit = 255 - bias - cfg.max_subst_score();
-    auto clamp_u8 = [](int v) { return v < 0 ? 0 : (v > 255 ? 255 : v); };
-    vzero = BE::zero();
-    vbias = BE::set1(bias);
-    vopen = BE::set1(clamp_u8(affine ? cfg.gap_open : cfg.gap_extend));
-    vext = BE::set1(clamp_u8(cfg.gap_extend));
-    vmatch = BE::set1(clamp_u8(cfg.match + bias));
-    vmis = BE::set1(clamp_u8(cfg.mismatch + bias));
-    rows = use_matrix ? cfg.matrix->rows_biased_u8() : nullptr;
+  explicit BatchKernelSetup(const AlignConfig& cfg) {
+    const bool affine = cfg.gap_model == GapModel::Affine;
+    const int open = affine ? cfg.gap_open : cfg.gap_extend;
+    auto clamp_s8 = [](int v) { return std::clamp(v, -128, 127); };
+    vopen = BE::set1(clamp_s8(open));
+    vext = BE::set1(clamp_s8(cfg.gap_extend));
+    // Exact while every H stays below the limit: H + s then never reaches
+    // the ceiling (score 255), and a substitution score clamped to 127
+    // lifts its cell to >= 127 >= the limit. A penalty clamped to 127 is
+    // exact while H <= 127, so capping the limit at 128 sends any lane
+    // that could read the clamp up the width ladder.
+    sat_limit = 255 - cfg.bias() - cfg.max_subst_score();
+    if (open > 127 || cfg.gap_extend > 127) sat_limit = std::min(sat_limit, 128);
+    if (cfg.scheme == ScoreScheme::Matrix) {
+      rows = cfg.matrix->rows_s8();
+    } else {
+      const int8_t match = static_cast<int8_t>(clamp_s8(cfg.match));
+      fixed_rows.fill(static_cast<int8_t>(clamp_s8(cfg.mismatch)));
+      for (int a = 0; a < seq::kMatrixStride; ++a)
+        fixed_rows[static_cast<size_t>(a) * (seq::kMatrixStride + 1)] = match;
+      rows = fixed_rows.data();
+    }
   }
 };
 
 namespace detail {
 
-/// One (row, batch) recurrence step: exactly the K=1 loop body, so any
-/// interleaving of calls across batches stays bit-identical per batch.
-/// `s` is the substitution score vector for (q[i], column symbol).
-template <class BE>
-inline void batch32_row_step(const BatchKernelSetup<BE>& kc,
-                             typename BE::vec s, uint8_t* hrow, uint8_t* frow,
-                             typename BE::vec& e, typename BE::vec& hdiag,
-                             typename BE::vec& vmax) {
+/// One strip pass: the N columns at `cols` down every query row, continuing
+/// from the per-row state (H of the column left of the strip, then — affine
+/// only — F of the strip's first column) and leaving it for the next strip.
+template <class BE, int N, bool Affine>
+inline void batch32_strip(const BatchKernelSetup<BE>& kc, seq::SeqView q,
+                          const uint8_t* cols, int8_t* state,
+                          typename BE::vec& vmax) {
   using vec = typename BE::vec;
-  const vec hp = BE::load(hrow);  // H(i, j-1)
-  vec f;
-  if (kc.affine)
-    f = BE::max(BE::subs(hp, kc.vopen), BE::subs(BE::load(frow), kc.vext));
-  else
-    f = BE::subs(hp, kc.vext);
-  const vec hs = BE::subs(BE::adds(hdiag, s), kc.vbias);
-  const vec h = BE::max(hs, BE::max(e, f));
-  e = kc.affine ? BE::max(BE::subs(h, kc.vopen), BE::subs(e, kc.vext))
-                : BE::subs(h, kc.vext);
-  hdiag = hp;
-  BE::store(hrow, h);
-  if (kc.affine) BE::store(frow, f);
-  vmax = BE::max(vmax, h);
-}
-
-/// Substitution scores for row i against a column's symbol vector.
-template <class BE>
-inline typename BE::vec batch32_row_scores(const BatchKernelSetup<BE>& kc,
-                                           seq::SeqView q, int i,
-                                           typename BE::vec sym) {
-  if (kc.use_matrix)
-    return BE::lookup32(kc.rows + static_cast<size_t>(q[static_cast<size_t>(i)]) *
-                                      seq::kMatrixStride,
-                        sym);
-  return BE::select_eq(BE::set1(q[static_cast<size_t>(i)]), sym, kc.vmatch,
-                       kc.vmis);
-}
-
-/// Walk columns [j_begin, j_end) of a single batch, continuing from the
-/// H/F state already in hcol/fcol (E and the diagonal reset per column, so
-/// column state is exactly those arrays plus the running maximum).
-template <class BE>
-inline void batch32_walk_cols(const BatchKernelSetup<BE>& kc, seq::SeqView q,
-                              const uint8_t* columns, uint32_t j_begin,
-                              uint32_t j_end, uint8_t* hcol, uint8_t* fcol,
-                              typename BE::vec& vmax, uint32_t prefetch_dist) {
-  using vec = typename BE::vec;
-  constexpr int B = BE::lanes;
-  for (uint32_t j = j_begin; j < j_end; ++j) {
-    if (prefetch_dist != 0 && j + prefetch_dist < j_end)
-      BE::prefetch(columns + static_cast<size_t>(j + prefetch_dist) * B);
-    const vec sym = BE::load(columns + static_cast<size_t>(j) * B);
-    vec e = kc.vzero;      // E(i, j), vertical gaps, carried down the column
-    vec hdiag = kc.vzero;  // H(i-1, j-1)
-    for (int i = 0; i < kc.m; ++i)
-      batch32_row_step<BE>(kc, batch32_row_scores<BE>(kc, q, i, sym),
-                           hcol + static_cast<size_t>(i) * B,
-                           fcol + static_cast<size_t>(i) * B, e, hdiag, vmax);
+  constexpr size_t B = BE::lanes;
+  constexpr size_t kRowBytes = Affine ? 2 * B : B;
+  // Locals, not kc members: the int8 state stores may alias kc, which
+  // would force a reload of every constant after each store.
+  const vec zero = BE::set1(-128);
+  const vec vopen = kc.vopen;
+  const vec vext = kc.vext;
+  const int8_t* const rows = kc.rows;
+  typename BE::col_t idx[N];
+  vec e[N];      // E(i, j + c), vertical gaps, carried down the column
+  vec hdiag[N];  // H(i - 1, j + c - 1)
+  for (int c = 0; c < N; ++c) {
+    idx[c] = BE::prep_col(BE::load(cols + static_cast<size_t>(c) * B));
+    e[c] = zero;
+    hdiag[c] = zero;
+  }
+  for (size_t i = 0; i < q.length; ++i, state += kRowBytes) {
+    const typename BE::row_t row =
+        BE::load_row(rows + static_cast<size_t>(q[i]) * seq::kMatrixStride);
+    vec hleft = BE::load(state);  // H(i, j - 1)
+    vec f = Affine ? BE::load(state + B) : BE::subs(hleft, vext);  // F(i, j)
+    for (int c = 0; c < N; ++c) {
+      const vec h = BE::max(BE::adds(hdiag[c], BE::lookup(row, idx[c])),
+                            BE::max(e[c], f));
+      hdiag[c] = hleft;
+      hleft = h;
+      vmax = BE::max(vmax, h);
+      if constexpr (Affine) {
+        const vec open = BE::subs(h, vopen);
+        e[c] = BE::max(open, BE::subs(e[c], vext));
+        f = BE::max(open, BE::subs(f, vext));
+      } else {
+        e[c] = f = BE::subs(h, vext);
+      }
+    }
+    BE::store(state, hleft);
+    if constexpr (Affine) BE::store(state + B, f);  // F of the next strip's column
   }
 }
 
-/// Per-lane saturation check against the unbiased 8-bit headroom bound.
-template <class BE>
-inline void batch32_store_result(const BatchKernelSetup<BE>& kc,
-                                 typename BE::vec vmax, Batch8Result& out) {
-  BE::store(out.max_score, vmax);
-  out.saturated_mask = 0;
-  for (int k = 0; k < BE::lanes; ++k)
-    if (out.max_score[k] >= kc.sat_limit)
-      out.saturated_mask |= uint64_t{1} << k;
+/// The ragged last strip: `rem` (< N + 1) columns, as an N-, N-1-, ...
+/// column strip chosen at run time.
+template <class BE, int N, bool Affine>
+inline void batch32_tail(const BatchKernelSetup<BE>& kc, seq::SeqView q,
+                         const uint8_t* cols, uint32_t rem, int8_t* state,
+                         typename BE::vec& vmax) {
+  if constexpr (N > 0) {
+    if (rem == static_cast<uint32_t>(N))
+      batch32_strip<BE, N, Affine>(kc, q, cols, state, vmax);
+    else
+      batch32_tail<BE, N - 1, Affine>(kc, q, cols, rem, state, vmax);
+  }
+}
+
+/// Columns [0, ncols) in strips of BE::strip, from zeroed row state.
+template <class BE, bool Affine>
+inline void batch32_walk(const BatchKernelSetup<BE>& kc, seq::SeqView q,
+                         const uint8_t* columns, uint32_t ncols, int8_t* state,
+                         typename BE::vec& vmax) {
+  constexpr uint32_t C = BE::strip;
+  constexpr size_t kStripBytes = static_cast<size_t>(C) * BE::lanes;
+  const uint32_t prefetch_dist = batch_prefetch_distance();
+  uint32_t j = 0;
+  for (; j + C <= ncols; j += C) {
+    // Once per strip: the column blocks `prefetch_dist` columns ahead.
+    if (prefetch_dist != 0 && j + prefetch_dist < ncols) {
+      const size_t ahead = static_cast<size_t>(j + prefetch_dist) * BE::lanes;
+      const size_t end =
+          std::min(ahead + kStripBytes, static_cast<size_t>(ncols) * BE::lanes);
+      for (size_t off = ahead; off < end; off += 64) BE::prefetch(columns + off);
+    }
+    batch32_strip<BE, C, Affine>(kc, q, columns + static_cast<size_t>(j) * BE::lanes,
+                                 state, vmax);
+  }
+  batch32_tail<BE, C - 1, Affine>(kc, q,
+                                  columns + static_cast<size_t>(j) * BE::lanes,
+                                  ncols - j, state, vmax);
 }
 
 }  // namespace detail
 
+/// The 8-bit batch kernel: one query against one batch of BE::lanes
+/// transposed database sequences.
 template <class BE>
 Batch8Result batch32_kernel(seq::SeqView q, const uint8_t* columns, uint32_t ncols,
                             const AlignConfig& cfg, Workspace& ws) {
   using vec = typename BE::vec;
   constexpr int B = BE::lanes;
-  const int m = static_cast<int>(q.length);
+  static_assert(B <= 64, "Batch8Result holds 64 lanes");
 
   Batch8Result out{};
-  std::memset(out.max_score, 0, sizeof(out.max_score));
-  out.saturated_mask = 0;
-  if (m == 0 || ncols == 0) return out;
+  if (q.length == 0 || ncols == 0) return out;
 
-  const BatchKernelSetup<BE> kc(q, cfg);
-  auto* hcol = static_cast<uint8_t*>(
-      ws.batch_h[0].ensure_zeroed(static_cast<size_t>(m) * B));
-  uint8_t* fcol = nullptr;
-  if (kc.affine)
-    fcol = static_cast<uint8_t*>(
-        ws.batch_f[0].ensure_zeroed(static_cast<size_t>(m) * B));
+  const BatchKernelSetup<BE> kc(cfg);
+  const bool affine = cfg.gap_model == GapModel::Affine;
+  const size_t bytes = q.length * static_cast<size_t>(B) * (affine ? 2 : 1);
+  auto* state = static_cast<int8_t*>(ws.batch_state.ensure(bytes));
+  std::memset(state, 0x80, bytes);  // H = F = score 0
 
-  vec vmax = kc.vzero;
-  detail::batch32_walk_cols<BE>(kc, q, columns, 0, ncols, hcol, fcol, vmax,
-                                batch_prefetch_distance());
-  detail::batch32_store_result<BE>(kc, vmax, out);
+  vec vmax = BE::set1(-128);
+  if (affine)
+    detail::batch32_walk<BE, true>(kc, q, columns, ncols, state, vmax);
+  else
+    detail::batch32_walk<BE, false>(kc, q, columns, ncols, state, vmax);
+
+  int8_t lane_max[B];
+  BE::store(lane_max, vmax);
+  for (int k = 0; k < B; ++k) {
+    out.max_score[k] = static_cast<uint8_t>(lane_max[k] + 128);
+    if (out.max_score[k] >= kc.sat_limit) out.saturated_mask |= uint64_t{1} << k;
+  }
   return out;
 }
 
-/// K independent batches through one fused column loop. Results land in
-/// out[0..K): bit-identical to K separate batch32_kernel calls.
-///
-/// Columns [0, min ncols) run fused — every row iteration issues the
-/// recurrence of all K batches, K independent dependency chains — and each
-/// batch's ragged tail past the common minimum finishes with the
-/// single-batch walker on its own H/F bank (E/diagonal reset per column, so
-/// the hand-off is seamless).
-template <class BE, int K>
-void batch32_kernel_ilp(seq::SeqView q, const BatchCols* batches,
-                        const AlignConfig& cfg, Workspace& ws,
-                        Batch8Result* out) {
-  static_assert(K >= 1 && K <= kMaxBatchInterleave, "unsupported interleave");
-  using vec = typename BE::vec;
-  constexpr int B = BE::lanes;
-  const int m = static_cast<int>(q.length);
-
-  for (int b = 0; b < K; ++b) {
-    std::memset(out[b].max_score, 0, sizeof(out[b].max_score));
-    out[b].saturated_mask = 0;
-  }
-  if (m == 0) return;
-
-  const BatchKernelSetup<BE> kc(q, cfg);
-  const uint32_t prefetch_dist = batch_prefetch_distance();
-
-  uint8_t* hcol[K];
-  uint8_t* fcol[K];
-  vec vmax[K];
-  uint32_t fused_cols = batches[0].ncols;
-  for (int b = 0; b < K; ++b) {
-    hcol[b] = static_cast<uint8_t*>(
-        ws.batch_h[b].ensure_zeroed(static_cast<size_t>(m) * B));
-    fcol[b] = nullptr;
-    if (kc.affine)
-      fcol[b] = static_cast<uint8_t*>(
-          ws.batch_f[b].ensure_zeroed(static_cast<size_t>(m) * B));
-    vmax[b] = kc.vzero;
-    if (batches[b].ncols < fused_cols) fused_cols = batches[b].ncols;
-  }
-
-  for (uint32_t j = 0; j < fused_cols; ++j) {
-    vec sym[K];
-    vec e[K];
-    vec hdiag[K];
-    for (int b = 0; b < K; ++b) {
-      if (prefetch_dist != 0 && j + prefetch_dist < batches[b].ncols)
-        BE::prefetch(batches[b].columns +
-                     static_cast<size_t>(j + prefetch_dist) * B);
-      sym[b] = BE::load(batches[b].columns + static_cast<size_t>(j) * B);
-      e[b] = kc.vzero;
-      hdiag[b] = kc.vzero;
-    }
-    for (int i = 0; i < kc.m; ++i) {
-      const size_t row = static_cast<size_t>(i) * B;
-      if (kc.use_matrix) {
-        // One row pointer serves all K lookups: the query residue is shared.
-        const uint8_t* rowp =
-            kc.rows +
-            static_cast<size_t>(q[static_cast<size_t>(i)]) * seq::kMatrixStride;
-        for (int b = 0; b < K; ++b)
-          detail::batch32_row_step<BE>(kc, BE::lookup32(rowp, sym[b]),
-                                       hcol[b] + row, fcol[b] + row, e[b],
-                                       hdiag[b], vmax[b]);
-      } else {
-        const vec qv = BE::set1(q[static_cast<size_t>(i)]);
-        for (int b = 0; b < K; ++b)
-          detail::batch32_row_step<BE>(
-              kc, BE::select_eq(qv, sym[b], kc.vmatch, kc.vmis), hcol[b] + row,
-              fcol[b] + row, e[b], hdiag[b], vmax[b]);
-      }
-    }
-  }
-
-  // Ragged tails: finish each batch past the common column count alone.
-  for (int b = 0; b < K; ++b) {
-    if (batches[b].ncols > fused_cols)
-      detail::batch32_walk_cols<BE>(kc, q, batches[b].columns, fused_cols,
-                                    batches[b].ncols, hcol[b], fcol[b], vmax[b],
-                                    prefetch_dist);
-    detail::batch32_store_result<BE>(kc, vmax[b], out[b]);
-  }
-}
-
-/// Portable batch engine.
+/// Portable batch engine (the reference the SIMD engines match byte for
+/// byte). Strips as wide as the SIMD engine of the same lane count.
 template <int B>
 struct EmuBatchEngine {
   struct vec {
-    std::array<uint8_t, B> v;
+    std::array<int8_t, B> v;
   };
+  using col_t = vec;
+  using row_t = const int8_t*;
   static constexpr int lanes = B;
-  static vec zero() {
-    vec r;
-    r.v.fill(0);
-    return r;
-  }
+  static constexpr int strip = batch_strip_cols(B);
+
   static vec set1(int x) {
     vec r;
-    r.v.fill(static_cast<uint8_t>(x));
+    r.v.fill(static_cast<int8_t>(x));
     return r;
   }
-  static vec load(const uint8_t* p) {
+  static vec load(const void* p) {
     vec r;
     std::memcpy(r.v.data(), p, B);
     return r;
   }
-  static void store(uint8_t* p, vec a) { std::memcpy(p, a.v.data(), B); }
-  static vec adds(vec a, vec b) {
+  static void store(void* p, vec a) { std::memcpy(p, a.v.data(), B); }
+  template <class Op>
+  static vec lanewise(vec a, vec b, Op op) {
     vec r;
-    for (int k = 0; k < B; ++k) {
-      int t = a.v[k] + b.v[k];
-      r.v[k] = static_cast<uint8_t>(t > 255 ? 255 : t);
-    }
+    for (int k = 0; k < B; ++k)
+      r.v[k] = static_cast<int8_t>(std::clamp(op(a.v[k], b.v[k]), -128, 127));
     return r;
+  }
+  static vec adds(vec a, vec b) {
+    return lanewise(a, b, [](int x, int y) { return x + y; });
   }
   static vec subs(vec a, vec b) {
-    vec r;
-    for (int k = 0; k < B; ++k) {
-      int t = a.v[k] - b.v[k];
-      r.v[k] = static_cast<uint8_t>(t < 0 ? 0 : t);
-    }
-    return r;
+    return lanewise(a, b, [](int x, int y) { return x - y; });
   }
   static vec max(vec a, vec b) {
-    vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = a.v[k] > b.v[k] ? a.v[k] : b.v[k];
-    return r;
+    return lanewise(a, b, [](int x, int y) { return x > y ? x : y; });
   }
-  static vec select_eq(vec a, vec b, vec t, vec f) {
+  static col_t prep_col(vec sym) { return sym; }
+  static row_t load_row(const int8_t* row32) { return row32; }
+  static vec lookup(row_t row, col_t idx) {
     vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = a.v[k] == b.v[k] ? t.v[k] : f.v[k];
-    return r;
-  }
-  static vec lookup32(const uint8_t* row32, vec idx) {
-    vec r;
-    for (int k = 0; k < B; ++k) r.v[k] = row32[idx.v[k] & 31];
+    for (int k = 0; k < B; ++k) r.v[k] = row[idx.v[k] & 31];
     return r;
   }
   static void prefetch(const void* p) {

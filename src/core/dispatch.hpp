@@ -39,11 +39,10 @@ ScoreDelivery resolved_delivery(simd::Isa isa);
 /// re-enables calibration. Thread-safe; takes effect for subsequent calls.
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery);
 
-/// Interleave-depth policy of the batch kernel family: how many independent
-/// batches the fused column loop keeps in flight (software pipelining). The
-/// batch recurrence is one serial dependency chain per column, so a single
-/// batch leaves vector ports idle; interleaving K batches gives the core K
-/// chains to overlap. Results are bit-identical for every depth.
+/// Interleave-depth policy of the batch scan. The batch kernel runs one
+/// batch at a time (its column strips keep several dependency chains in
+/// flight), so K now only sets the unit grain of engine::BatchScan: units
+/// of up to K batches. Results are bit-identical for every depth.
 struct IlpPolicy {
   enum class Mode : uint8_t { Auto, Fixed };
   Mode mode = Mode::Auto;
@@ -55,15 +54,13 @@ struct IlpPolicy {
   }
 };
 
-/// The concrete interleave depth (1, 2, or 4) the batch path uses for a
-/// resolved `isa`: the per-ISA override if one is pinned, else the cached
-/// one-time calibration result (times K = 1/2/4 on a synthetic batch group
-/// and keeps the fastest, mirroring resolved_delivery).
+/// The concrete interleave depth (1, 2, or 4) the batch scan uses for a
+/// resolved `isa`: the per-ISA override if one is pinned, else 1.
 int resolved_ilp(simd::Isa isa);
 
 /// Pin the interleave depth for `isa`. Fixed depths are normalized to the
 /// supported set {1, 2, 4} (3 rounds down to 2). Passing an Auto policy
-/// clears the pin and re-enables calibration. Thread-safe.
+/// clears the pin. Thread-safe.
 void set_ilp_override(simd::Isa isa, IlpPolicy policy);
 
 /// Full alignment through the diagonal kernel family: resolves the ISA,

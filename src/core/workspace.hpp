@@ -19,9 +19,8 @@ namespace swve::core {
 /// Sized for the widest engine (64 lanes of AVX-512 u8).
 inline constexpr int kPad = 64;
 
-/// Deepest batch-kernel interleave: how many independent batches the fused
-/// batch32 column loop can keep in flight (and how many H/F column banks a
-/// Workspace carries). Must cover every K accepted by core::IlpPolicy.
+/// Deepest batch interleave depth core::IlpPolicy accepts. The batch kernel
+/// runs one batch at a time; K only sets the batch scan's unit grain.
 inline constexpr int kMaxBatchInterleave = 4;
 
 /// 64-byte-aligned, grow-only byte buffer.
@@ -101,11 +100,10 @@ struct Workspace {
   AlignedBuf tb_dirs;       // m*n bytes (guarded by max_traceback_cells)
   AlignedBuf tb_offsets;    // (m+n) uint64
 
-  // Batch32 kernel (Fig 5): per-query-row H and F vectors, one vector of
-  // `lanes` bytes per row. One bank per in-flight batch of the interleaved
-  // kernel; the K=1 kernel uses bank 0.
-  AlignedBuf batch_h[kMaxBatchInterleave];  // m * lanes bytes each
-  AlignedBuf batch_f[kMaxBatchInterleave];  // m * lanes bytes each
+  // Batch32 kernel (Fig 5): per query row, the H vector (and, affine, the
+  // F vector) of `lanes` bytes each, carried from one column strip to the
+  // next.
+  AlignedBuf batch_state;  // m * lanes * (affine ? 2 : 1) bytes
 
   // Baseline kernels (striped / scan / diag-basic): column state and
   // per-diagonal score scratch.

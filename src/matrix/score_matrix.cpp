@@ -38,6 +38,7 @@ ScoreMatrix::ScoreMatrix(std::string name, const seq::Alphabet& alphabet,
     int v = data32_[i] + bias_v;
     rows_u8_[i] = static_cast<uint8_t>(std::clamp(v, 0, 255));
   }
+  rows_s8_.assign(data32_.begin(), data32_.end());
 }
 
 ScoreMatrix ScoreMatrix::match_mismatch(int match, int mismatch,

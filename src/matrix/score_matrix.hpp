@@ -66,6 +66,10 @@ class ScoreMatrix {
   /// 32x32 biased uint8 copy: entry = score + bias(). Row q is one 256-bit
   /// load; used by the batch32 shuffle LUT.
   const uint8_t* rows_biased_u8() const noexcept { return rows_u8_.data(); }
+  /// 32x32 signed int8 copy: entry = score (entries are int8 by
+  /// construction). Row q is one 256-bit load; used by the batch32 kernel,
+  /// which works in a signed offset domain and needs no bias.
+  const int8_t* rows_s8() const noexcept { return rows_s8_.data(); }
 
  private:
   std::string name_;
@@ -74,6 +78,7 @@ class ScoreMatrix {
   int min_ = 0, max_ = 0;
   std::vector<int32_t> data32_;  // 32*32
   std::vector<uint8_t> rows_u8_;  // 32*32
+  std::vector<int8_t> rows_s8_;   // 32*32
 };
 
 }  // namespace swve::matrix

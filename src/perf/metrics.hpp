@@ -113,12 +113,13 @@ constexpr double delta_ratio(uint64_t num_now, uint64_t num_prev,
 
 /// Kernel family that actually served a request (the dispatch target,
 /// together with the resolved ISA). The batch kernel attributes separately
-/// per interleave depth so per-K IPC / stall deltas stay legible.
+/// per interleave depth K, which now only sets the batch scan's unit grain:
+/// every Batch32* variant runs the same kernel.
 enum class KernelVariant : int {
   Diagonal = 0,
-  Batch32 = 1,    ///< batch kernel, one batch in flight (K = 1)
-  Batch32x2 = 2,  ///< fused batch kernel, K = 2
-  Batch32x4 = 3,  ///< fused batch kernel, K = 4
+  Batch32 = 1,    ///< batch kernel, grain K = 1
+  Batch32x2 = 2,  ///< batch kernel, grain K = 2
+  Batch32x4 = 3,  ///< batch kernel, grain K = 4
 };
 const char* kernel_variant_name(KernelVariant v) noexcept;
 

@@ -20,6 +20,15 @@ seq::SequenceDatabase small_db(uint64_t seed, uint64_t residues, uint32_t min_le
   return seq::SequenceDatabase::synthetic(cfg);
 }
 
+/// The ISA a `lanes`-wide packing is scored with here: Auto, except that a
+/// 64-lane packing on a build or host whose batch engine is 32 lanes wide
+/// runs the emulated 64-lane engine (Auto would reject the packing).
+simd::Isa isa_for_lanes(int lanes) {
+  return lanes == 64 && batch_lanes_for(simd::resolve_isa(simd::Isa::Auto)) == 32
+             ? simd::Isa::Scalar
+             : simd::Isa::Auto;
+}
+
 TEST(Batch32Db, RejectsBadLaneCounts) {
   auto db = small_db(1, 1000);
   EXPECT_THROW(Batch32Db(db, 16), std::invalid_argument);
@@ -83,6 +92,7 @@ TEST_P(BatchScoreTest, ScoresMatchGoldenForWholeDatabase) {
   Batch32Db bdb(db, lanes);
   Workspace ws;
   AlignConfig cfg;
+  cfg.isa = isa_for_lanes(lanes);
   auto q = seq::generate_sequence(50, 100);
   auto scores = batch_scores(q, bdb, db, cfg, ws);
   ASSERT_EQ(scores.size(), db.size());
@@ -103,6 +113,7 @@ TEST_P(BatchScoreTest, SaturatedLanesAreRescoredExactly) {
   Batch32Db bdb(db, lanes);
   Workspace ws;
   AlignConfig cfg;
+  cfg.isa = isa_for_lanes(lanes);
   BatchSearchStats stats;
   auto scores = batch_scores(q, bdb, db, cfg, ws, &stats);
   EXPECT_GE(stats.rescored, 1u);
@@ -116,6 +127,7 @@ TEST_P(BatchScoreTest, FixedSchemeAndLinearGaps) {
   Batch32Db bdb(db, lanes);
   Workspace ws;
   AlignConfig cfg;
+  cfg.isa = isa_for_lanes(lanes);
   cfg.scheme = ScoreScheme::Fixed;
   cfg.match = 3;
   cfg.mismatch = -2;
@@ -196,6 +208,7 @@ TEST_P(BatchScoreTest, ScoresIdenticalAcrossPackingPolicies) {
   auto db = skewed_db(13, 120, 2, 1500);
   Workspace ws;
   AlignConfig cfg;
+  cfg.isa = isa_for_lanes(lanes);
   auto q = seq::generate_sequence(80, 120);
   std::vector<int> ref_scores;
   for (PackingPolicy policy : {PackingPolicy::DbOrder, PackingPolicy::LengthSorted,
@@ -233,6 +246,7 @@ TEST(BatchScores, RescoreLadderClimbsTo16AndThen32Bits) {
   Workspace ws;
   for (int lanes : {32, 64}) {
     Batch32Db bdb(db, lanes);
+    cfg.isa = isa_for_lanes(lanes);
     BatchSearchStats stats;
     auto scores = batch_scores(q, bdb, db, cfg, ws, &stats);
     EXPECT_GE(stats.rescored, 2u) << lanes;      // both planted sequences
@@ -296,6 +310,131 @@ TEST(BatchKernel, ScalarEngineMatchesSimdEngines) {
       for (int k = 0; k < lanes; ++k)
         EXPECT_EQ(got.max_score[k], ref.max_score[k]) << "batch " << b << " lane " << k;
       EXPECT_EQ(got.saturated_mask, ref.saturated_mask);
+    }
+  }
+}
+
+TEST(BatchKernel, SignedStripsMatchScalarRefOnEdgeConfigs) {
+  // Edge shapes of the column-strip walk (ncols below the strip width and
+  // not a multiple of it, m = 1) and edge values of the signed domain
+  // (scores and gap penalties beyond a signed byte). Every engine must
+  // match the emulated one byte for byte, saturated lanes included, and
+  // ref_align on every lane it did not flag.
+  std::vector<std::pair<simd::Isa, int>> engines = {{simd::Isa::Scalar, 32},
+                                                    {simd::Isa::Scalar, 64}};
+  if (simd::isa_available(simd::Isa::Avx2)) engines.push_back({simd::Isa::Avx2, 32});
+  if (simd::isa_available(simd::Isa::Avx512) && simd::cpu_features().avx512vbmi)
+    engines.push_back({simd::Isa::Avx512, 64});
+
+  struct Edge {
+    const char* name;
+    AlignConfig cfg;
+  };
+  std::vector<Edge> edges;
+  edges.push_back({"blosum62 affine", AlignConfig{}});
+  {
+    AlignConfig c;
+    c.gap_model = GapModel::Linear;
+    c.gap_extend = 4;
+    edges.push_back({"blosum62 linear", c});
+  }
+  {
+    AlignConfig c;
+    c.scheme = ScoreScheme::Fixed;
+    c.match = 3;
+    c.mismatch = -2;
+    c.gap_model = GapModel::Linear;
+    c.gap_extend = 2;
+    edges.push_back({"fixed 3/-2 linear", c});
+  }
+  {
+    AlignConfig c;  // scores beyond a signed byte
+    c.scheme = ScoreScheme::Fixed;
+    c.match = 130;
+    c.mismatch = -200;
+    edges.push_back({"fixed 130/-200", c});
+  }
+  {
+    AlignConfig c;  // penalties beyond a signed byte
+    c.gap_open = 200;
+    c.gap_extend = 150;
+    edges.push_back({"penalties 200/150", c});
+  }
+  {
+    AlignConfig c;  // the same, with scores that climb past 128 quickly
+    c.scheme = ScoreScheme::Fixed;
+    c.match = 30;
+    c.mismatch = -3;
+    c.gap_open = 200;
+    c.gap_extend = 150;
+    edges.push_back({"fixed 30/-3 penalties 200/150", c});
+  }
+  {
+    AlignConfig c;
+    c.gap_model = GapModel::Linear;
+    c.gap_extend = 150;
+    edges.push_back({"linear 150", c});
+  }
+
+  const seq::Sequence q = seq::generate_sequence(73, 100);
+  const std::vector<seq::Sequence> queries = {seq::generate_sequence(74, 1), q};
+  std::mt19937_64 rng(75);
+  std::vector<seq::SequenceDatabase> dbs;
+  for (uint32_t ncols : {1u, 3u, 5u, 6u, 7u}) {
+    std::vector<seq::Sequence> seqs;
+    for (int i = 0; i < 9; ++i)
+      seqs.push_back(seq::generate_sequence(rng(), 1 + static_cast<uint32_t>(rng() % ncols)));
+    seqs.push_back(seq::generate_sequence(rng(), ncols));
+    dbs.emplace_back(std::move(seqs));
+  }
+  {
+    std::vector<seq::Sequence> seqs;  // a homolog that saturates
+    for (int i = 0; i < 9; ++i)
+      seqs.push_back(seq::generate_sequence(rng(), 30 + static_cast<uint32_t>(rng() % 40)));
+    seqs.push_back(seq::mutate(q, 76, 0.03));
+    // Two 5-residue exact matches split by one inserted residue. Under
+    // Fixed 30/-3 with penalties over 127, a kernel that read the clamped
+    // penalty would join them (150 + 150 - 127) below the unsigned limit.
+    std::vector<uint8_t> split(q.codes().begin() + 10, q.codes().begin() + 15);
+    uint8_t inserted = 0;
+    while (inserted == q.codes()[14] || inserted == q.codes()[15]) ++inserted;
+    split.push_back(inserted);
+    split.insert(split.end(), q.codes().begin() + 15, q.codes().begin() + 20);
+    seqs.emplace_back("split", split, seq::Alphabet::protein());
+    dbs.emplace_back(std::move(seqs));
+  }
+
+  Workspace ws;
+  for (auto [isa, lanes] : engines) {
+    for (const Edge& edge : edges) {
+      uint64_t saturated = 0;
+      for (const seq::SequenceDatabase& db : dbs) {
+        Batch32Db bdb(db, lanes);
+        for (const seq::Sequence& query : queries) {
+          for (size_t b = 0; b < bdb.batch_count(); ++b) {
+            const auto batch = bdb.batch(b);
+            const Batch8Result ref = batch32_u8_scalar(query, batch.columns, batch.max_len,
+                                                       lanes, edge.cfg, ws);
+            const Batch8Result got =
+                batch32_align_u8(query, batch, lanes, edge.cfg, ws, isa);
+            const std::string where = std::string(simd::isa_name(isa)) + "/" +
+                                      std::to_string(lanes) + " " + edge.name +
+                                      " m=" + std::to_string(query.length()) +
+                                      " ncols=" + std::to_string(batch.max_len);
+            EXPECT_EQ(got.saturated_mask, ref.saturated_mask) << where;
+            for (int k = 0; k < lanes; ++k)
+              EXPECT_EQ(got.max_score[k], ref.max_score[k]) << where << " lane " << k;
+            for (uint32_t k = 0; k < batch.count; ++k) {
+              if (got.saturated_mask & (uint64_t{1} << k)) continue;
+              EXPECT_EQ(got.max_score[k],
+                        ref_align(query, db[batch.seq_index[k]], edge.cfg).score)
+                  << where << " lane " << k;
+            }
+            saturated |= got.saturated_mask;
+          }
+        }
+      }
+      EXPECT_NE(saturated, 0u) << edge.name << ": the homolog must saturate";
     }
   }
 }

@@ -45,11 +45,13 @@ TEST_P(BuiltinMatrixTest, BiasedByteRowsConsistent) {
   const ScoreMatrix* m = ScoreMatrix::find(GetParam());
   ASSERT_NE(m, nullptr);
   const uint8_t* rows = m->rows_biased_u8();
+  const int8_t* signed_rows = m->rows_s8();
   for (int a = 0; a < kMatrixStride; ++a)
-    for (int b = 0; b < kMatrixStride; ++b)
-      EXPECT_EQ(rows[a * kMatrixStride + b],
-                m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(b)) +
-                    m->bias());
+    for (int b = 0; b < kMatrixStride; ++b) {
+      const int s = m->score(static_cast<uint8_t>(a), static_cast<uint8_t>(b));
+      EXPECT_EQ(rows[a * kMatrixStride + b], s + m->bias());
+      EXPECT_EQ(signed_rows[a * kMatrixStride + b], s);
+    }
 }
 
 TEST_P(BuiltinMatrixTest, MinMaxConsistent) {

@@ -4,9 +4,11 @@
 // 2048x2048 run (IPC, backend-stall fraction, effective GHz); otherwise
 // those columns print "-".
 //
-// Also sweeps the batch kernel's interleave depth: `--ilp=1,2,4` picks the
-// depths, `--json` emits machine-readable rows (GCUPS, IPC, backend-stall %
-// per ISA x K) instead of the tables — the bench-smoke CI artifact.
+// Also times the batch kernel per batch ISA: `--ilp=1,2,4` picks the
+// interleave depths to print a row for (every depth runs the same
+// column-strip kernel, one batch at a time; K is only the scan grain), and
+// `--json` emits machine-readable rows (GCUPS, IPC, backend-stall % per
+// ISA x K) instead of the tables — the bench-smoke CI artifact.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,8 +55,7 @@ struct IlpRow {
 };
 
 /// Time the batch kernel over a synthetic packed database at each requested
-/// interleave depth, per available batch ISA (same batches, same query —
-/// only the number of in-flight dependency chains varies).
+/// interleave depth, per available batch ISA (same batches, same query).
 static std::vector<IlpRow> sweep_interleave(const std::vector<int>& depths) {
   seq::SyntheticConfig scfg;
   scfg.seed = 11;
