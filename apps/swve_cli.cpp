@@ -157,11 +157,11 @@ service::ServiceOptions service_options(const CliOptions& o,
   so.pool_threads = o.threads;
   so.config = o.cfg;
   so.default_top_k = o.top_k;
-  so.trace_sink = sink;
-  so.sampler_period_s = o.sample_period_ms > 0 ? o.sample_period_ms * 1e-3 : 0;
-  so.topdown_every_n = o.topdown_every;
-  so.pmu_attribution = !o.no_pmu;
-  so.slow_request_slo_s = o.slo_ms > 0 ? o.slo_ms * 1e-3 : 0;
+  so.obs.trace_sink = sink;
+  so.obs.sampler_period_s = o.sample_period_ms > 0 ? o.sample_period_ms * 1e-3 : 0;
+  so.obs.topdown_every_n = o.topdown_every;
+  so.obs.pmu_attribution = !o.no_pmu;
+  so.obs.slow_request_slo_s = o.slo_ms > 0 ? o.slo_ms * 1e-3 : 0;
   return so;
 }
 

@@ -7,7 +7,7 @@ Compares a fresh ``fig13_scenarios --json`` report against the committed
 runners are noisy shared machines, so this lane never fails the build on a
 slowdown -- it annotates the run so a human looks at the artifact.
 Structural problems (missing file, malformed JSON, a correctness sentinel
--- ``packing/topk_identical``, ``ilp/topk_identical``,
+-- ``packing/topk_identical``, ``shard/topk_identical``,
 ``serve/topk_identical``, or ``db/topk_identical`` -- flipping to 0, or a
 baseline metric missing from the new report) DO fail, because those are
 bugs, not noise.
@@ -51,12 +51,11 @@ def main():
               file=sys.stderr)
         return 2
 
-    # Correctness sentinels: packing policies, interleave depths, and shard
-    # counts must each agree on the top-k, responses decoded off the serving
-    # wire must match in-process submissions, and a search through an mmap'd
-    # swve db artifact must return the owned packing's exact hits.
+    # Correctness sentinels: packing policies and shard counts must each
+    # agree on the top-k, responses decoded off the serving wire must match
+    # in-process submissions, and a search through an mmap'd swve db
+    # artifact must return the owned packing's exact hits.
     for sentinel, what in (("packing/topk_identical", "policies"),
-                           ("ilp/topk_identical", "interleave depths"),
                            ("shard/topk_identical", "sharded vs flat search"),
                            ("serve/topk_identical", "wire vs in-process"),
                            ("db/topk_identical", "mapped artifact vs owned")):

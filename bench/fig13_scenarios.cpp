@@ -215,67 +215,6 @@ int main(int argc, char** argv) {
   }
 
   perf::print_banner(std::cout,
-                     "Fig 13 / interleave: software-pipelined batch kernels");
-  {
-    // The same batch search under pinned interleave depths K=1/2/4 and the
-    // per-ISA Auto calibration. Top-k must be bit-identical at every depth;
-    // GCUPS shows what multi-batch dependency chains buy on this machine.
-    const simd::Isa isa = simd::resolve_isa(cfg.isa);
-    align::DatabaseSearch search(w.db, cfg, align::SearchMode::Batch);
-    seq::Sequence query = seq::generate_sequence(args.seed + 21, 512);
-    const int reps = args.quick ? 3 : 5;
-
-    struct DepthRun {
-      const char* name;
-      core::IlpPolicy policy;
-      double gcups = 0;
-      int k = 0;
-    };
-    std::vector<DepthRun> runs = {{"k1", core::IlpPolicy::fixed(1)},
-                                  {"k2", core::IlpPolicy::fixed(2)},
-                                  {"k4", core::IlpPolicy::fixed(4)},
-                                  {"auto", core::IlpPolicy::auto_policy()}};
-    std::vector<align::Hit> reference;
-    bool identical = true;
-    for (auto& run : runs) {
-      core::set_ilp_override(isa, run.policy);
-      run.k = core::resolved_ilp(isa);
-      align::SearchResult best = search.search(query, 10, &pool);  // warm-up
-      if (reference.empty()) {
-        reference = best.hits;
-      } else if (best.hits.size() != reference.size()) {
-        identical = false;
-      } else {
-        for (size_t i = 0; i < reference.size(); ++i)
-          if (best.hits[i].seq_index != reference[i].seq_index ||
-              best.hits[i].score != reference[i].score)
-            identical = false;
-      }
-      for (int r = 0; r < reps; ++r) {
-        align::SearchResult res = search.search(query, 10, &pool);
-        run.gcups = std::max(run.gcups, res.gcups());
-      }
-    }
-    core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
-
-    perf::Table t({"interleave", "K", "GCUPS", "vs k1"});
-    for (const auto& run : runs) {
-      t.row({run.name, std::to_string(run.k), perf::Table::num(run.gcups, 2),
-             perf::Table::num(run.gcups / runs[0].gcups, 2)});
-      report.add(std::string("ilp/") + run.name + "_gcups", run.gcups);
-    }
-    t.print(std::cout);
-    std::cout << "top-k identical across depths: " << (identical ? "yes" : "NO")
-              << "\n";
-    report.add("ilp/auto_k", runs.back().k);
-    report.add("ilp/topk_identical", identical ? 1 : 0);
-    if (!identical) {
-      std::cerr << "FAIL: interleave depths disagree on top-k\n";
-      return 1;
-    }
-  }
-
-  perf::print_banner(std::cout,
                      "Fig 13 / shard: sharded batch search vs flat fan-out");
   {
     // The same batch search split into S database shards, each scanned by

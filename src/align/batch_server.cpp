@@ -20,13 +20,13 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
   if (queries.empty()) return out;
   core::check_batch_scan(cfg, bdb);
 
-  // Per-query accumulators, fed by whichever slots scan the query's units.
+  // Per-query accumulators, fed by whichever slots scan the query's batches.
   struct QueryRun {
     std::shared_ptr<const core::PreparedQuery> prep;
     std::mutex mu;
     TopK top{0};
     core::BatchSearchStats stats;
-    size_t units_done = 0;
+    size_t batches_done = 0;
     double seconds = 0;
   };
   std::vector<QueryRun> runs(queries.size());
@@ -37,19 +37,15 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
     runs[qi].top = TopK(top_k);
     by_length[qi] = qi;
   }
-  // Tiles are (query, unit) pairs, claimed longest query first and, within
-  // a query, costliest unit first: a long query's scan spreads over every
+  // Tiles are (query, batch) pairs, claimed longest query first and, within
+  // a query, costliest batch first: a long query's scan spreads over every
   // worker instead of setting the batch's wall time on one.
   std::stable_sort(by_length.begin(), by_length.end(), [&](size_t a, size_t b) {
     return queries[a].length() > queries[b].length();
   });
-  // Every query brings a full set of units, so each needs a share of the
-  // slots only to keep the tile count up.
   const BatchScan scan{db, bdb, cfg, ctx, top_k};
-  const size_t slots = ctx.pool ? ctx.pool->size() : 1;
-  const ScanUnits units =
-      scan.units(bdb.cost_order(), (slots + queries.size() - 1) / queries.size());
-  parallel::WorkCursor cursor(units.count() * queries.size());
+  const std::span<const uint32_t> order = bdb.cost_order();
+  parallel::WorkCursor cursor(order.size() * queries.size());
 
   auto run_slot = [&](unsigned slot) {
     obs::Span span(ctx.trace, "chunk.batch_run");
@@ -64,18 +60,18 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
         break;
       }
       perf::Stopwatch sw;
-      const size_t qi = by_length[t / units.count()];
+      const size_t qi = by_length[t / order.size()];
       QueryRun& run = runs[qi];
       core::BatchSearchStats stats{};
       lanes.clear();
-      core::scan_batches(queries[qi], bdb, db, units[t % units.count()], cfg,
-                         lease.ws(), run.prep.get(), lanes, stats);
+      core::scan_batches(queries[qi], bdb, db, order.subspan(t % order.size(), 1),
+                         cfg, lease.ws(), run.prep.get(), lanes, stats);
       slot_stats += stats;
       std::lock_guard<std::mutex> lk(run.mu);
       for (const core::LaneScore& l : lanes)
         run.top.offer(Hit{l.seq_index, l.score, -1, -1});
       run.stats += stats;
-      ++run.units_done;
+      ++run.batches_done;
       run.seconds += sw.seconds();
     }
     span.add_cells(slot_stats.cells8 + slot_stats.rescored_cells);
@@ -91,7 +87,7 @@ std::vector<BatchQueryResult> batch_run(const seq::SequenceDatabase& db,
     SearchResult& r = out[qi].result;
     r.query_length = queries[qi].length();
     r.db_residues = db.total_residues();
-    r.truncated = run.units_done < units.count();
+    r.truncated = run.batches_done < order.size();
     r.stats.cells = run.stats.cells8 + run.stats.rescored_cells;
     r.stats.vector_cells = run.stats.cells8;
     r.seconds = run.seconds;

@@ -2,7 +2,7 @@
 // them against a shared database. The database is packed once into
 // transposed 32/64-lane batches (Fig 5); each query is scored by the
 // inter-sequence 8-bit kernel with exact 16/32-bit re-scoring of saturated
-// lanes; (query, unit) tiles fan out across threads. The paper found this
+// lanes; (query, batch) tiles fan out across threads. The paper found this
 // batching "enhances computational efficiency by a factor of two in some
 // cases".
 //
@@ -27,8 +27,8 @@ namespace engine {
 
 /// Stateless scenario-2 engine: score every query against the packed
 /// database; one top-k result per query, in query order (deterministic for
-/// any pool size). The pool's slots claim (query, unit) tiles of one
-/// BatchScan, longest query and costliest unit first, so one long query
+/// any pool size). The pool's slots claim (query, batch) tiles of one
+/// BatchScan, longest query and costliest batch first, so one long query
 /// does not leave the other workers idle. A query's `result.seconds` is
 /// the worker time its tiles took. Cancellation/deadline is honored per
 /// tile: every query not fully scanned comes back with `result.truncated`

@@ -44,37 +44,29 @@ std::vector<Hit> TopK::sorted() && {
 }
 
 void BatchScan::label(obs::Span& span) const {
-  // Per-K label: the PMU attribution cell (and the exported swve_pmu_*
-  // family) separates scan grains; the kernel is the same for every K.
-  span.set_kernel(perf::batch_kernel_variant(k));
-  span.set_ilp(static_cast<uint8_t>(k));
+  span.set_kernel(perf::KernelVariant::Batch32);
   span.set_isa(isa);
   span.set_width_bits(8);
   span.set_lanes(static_cast<uint32_t>(bdb.lanes()));
 }
 
-ScanUnits BatchScan::units(std::span<const uint32_t> order,
-                           size_t slots) const noexcept {
-  const size_t fill = order.size() / (kUnitsPerSlot * std::max<size_t>(slots, 1));
-  return ScanUnits{order, std::clamp<size_t>(fill, 1, static_cast<size_t>(k))};
-}
-
 void BatchScan::run_slot(seq::SeqView query, const core::PreparedQuery* prep,
-                         const ScanUnits& units, parallel::WorkCursor& cursor,
-                         core::Workspace& ws, ScanSlot& out,
-                         obs::Span& span) const {
+                         std::span<const uint32_t> order,
+                         parallel::WorkCursor& cursor, core::Workspace& ws,
+                         ScanSlot& out, obs::Span& span) const {
   label(span);
   TopK top(top_k);
   std::vector<core::LaneScore> lanes;
-  for (size_t u; cursor.claim(u);) {
-    if (ctx.should_stop()) {  // per-unit cancellation/deadline check
+  for (size_t i; cursor.claim(i);) {
+    if (ctx.should_stop()) {  // per-batch cancellation/deadline check
       out.truncated = true;
       span.set_trunc(ctx.stop_cause());
       break;
     }
     lanes.clear();
-    core::scan_batches(query, bdb, db, units[u], cfg, ws, prep, lanes, out.stats);
-    out.batches += units[u].size();
+    core::scan_batches(query, bdb, db, order.subspan(i, 1), cfg, ws, prep, lanes,
+                       out.stats);
+    ++out.batches;
     for (const core::LaneScore& l : lanes)
       top.offer(Hit{l.seq_index, l.score, -1, -1});
   }
@@ -126,13 +118,13 @@ SearchResult search_batch(const seq::SequenceDatabase& db,
 
   const BatchScan scan{db, bdb, cfg, ctx, top_k};
   std::vector<ScanSlot> slots(ctx.pool ? ctx.pool->size() : 1);
-  const ScanUnits units = scan.units(bdb.cost_order(), slots.size());
-  parallel::WorkCursor cursor(units.count());
+  const std::span<const uint32_t> order = bdb.cost_order();
+  parallel::WorkCursor cursor(order.size());
   auto run_slot = [&](unsigned slot) {
     obs::Span span(ctx.trace, "chunk.search_batch");
     span.set_index(slot);
     auto lease = QueryStateCache::lease(ctx.query_cache);
-    scan.run_slot(query, prep.get(), units, cursor, lease.ws(), slots[slot],
+    scan.run_slot(query, prep.get(), order, cursor, lease.ws(), slots[slot],
                   span);
   };
   if (ctx.pool)

@@ -100,50 +100,29 @@ struct ScanSlot {
   bool truncated = false;  ///< stopped by cancellation/deadline
 };
 
-/// A costliest-first batch order cut into work units of `size`
-/// consecutive entries (the last one ragged). Unit u never costs more than
-/// unit u - 1, so claiming units in index order is LPT scheduling.
-struct ScanUnits {
-  std::span<const uint32_t> order;
-  size_t size = 1;
-
-  size_t count() const noexcept { return (order.size() + size - 1) / size; }
-  std::span<const uint32_t> operator[](size_t u) const noexcept {
-    return order.subspan(u * size, std::min(size, order.size() - u * size));
-  }
-};
-
 /// The batch scan engine: everything the slots of a batch fan-out share.
-/// Slots claim ScanUnits of a costliest-first batch order
+/// Slots claim positions of a costliest-first batch order
 /// (core::Batch32Db::cost_order, or a shard's slice of it) from a
-/// parallel::WorkCursor, so the longest batches go first and every slot
-/// finishes within about one unit of the others. `cfg` must pass
-/// core::check_batch_scan; `prep`, where taken, is the query's
-/// PreparedQuery or null.
+/// parallel::WorkCursor, one batch per claim, so the longest batches go
+/// first and every slot finishes within about one batch of the others.
+/// `cfg` must pass core::check_batch_scan; `prep`, where taken, is the
+/// query's PreparedQuery or null.
 struct BatchScan {
-  /// Fewer units than this per slot and the last unit claimed decides the
-  /// wall time; units then shrink below the grain K.
-  static constexpr size_t kUnitsPerSlot = 4;
-
   const seq::SequenceDatabase& db;
   const core::Batch32Db& bdb;
   const core::AlignConfig& cfg;
   const ExecContext& ctx;
   size_t top_k;
   simd::Isa isa = simd::resolve_isa(cfg.isa);
-  int k = core::resolved_ilp(isa);  ///< unit grain, resolved once
 
-  /// Cuts `order` into units for `slots` workers: K batches each, or fewer
-  /// when that would leave a slot fewer than kUnitsPerSlot units. Results
-  /// do not depend on the cut.
-  ScanUnits units(std::span<const uint32_t> order, size_t slots) const noexcept;
-  /// Labels `span` with the batch kernel (per-K variant, ISA, lanes).
+  /// Labels `span` with the batch kernel (ISA, width, lanes).
   void label(obs::Span& span) const;
-  /// Body of one slot of a one-query fan-out: claims units until none is
-  /// left or ctx stops, scoring each with core::scan_batches into the
-  /// slot's bounded heap. Labels `span` and adds the slot's cells to it.
+  /// Body of one slot of a one-query fan-out: claims positions of `order`
+  /// until none is left or ctx stops, scoring each batch with
+  /// core::scan_batches into the slot's bounded heap. Labels `span` and
+  /// adds the slot's cells to it.
   void run_slot(seq::SeqView query, const core::PreparedQuery* prep,
-                const ScanUnits& units, parallel::WorkCursor& cursor,
+                std::span<const uint32_t> order, parallel::WorkCursor& cursor,
                 core::Workspace& ws, ScanSlot& out, obs::Span& span) const;
   /// Phase 2, after every slot has run: merge the slots' heaps, then
   /// re-align only the winners exactly for end positions. A truncated scan
@@ -162,7 +141,7 @@ SearchResult search_diagonal(const seq::SequenceDatabase& db,
 /// Stateless scenario-1 engine, batch32-kernel path: one BatchScan over
 /// ctx.pool (serial without one). `bdb` is the database packed for the
 /// batch kernel (see core::Batch32Db); cancellation/deadline is honored at
-/// per-unit granularity.
+/// per-batch granularity.
 SearchResult search_batch(const seq::SequenceDatabase& db,
                           const core::Batch32Db& bdb,
                           const core::AlignConfig& cfg, seq::SeqView query,

@@ -4,8 +4,8 @@
 // stateless: everything they need — the thread pool to fan out over, a
 // cooperative cancellation flag, a deadline — arrives in an ExecContext.
 // Cancellation/deadline is checked at sequence-chunk granularity: an engine
-// polls should_stop() between sequences (diagonal path) or between work
-// units of a few batches (batch path) and returns early with the result
+// polls should_stop() between sequences (diagonal path) or between
+// batches (batch path) and returns early with the result
 // marked truncated.
 #pragma once
 

@@ -222,12 +222,8 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   for (size_t si = 0; si < nshards; ++si)
     first_slot[si + 1] = first_slot[si] + shards_[si]->pool->size();
   std::vector<engine::ScanSlot> slots(first_slot[nshards]);
-  std::vector<engine::ScanUnits> units;
   std::deque<parallel::WorkCursor> cursors;
-  for (const auto& shard : shards_) {
-    units.push_back(scan.units(shard->order, shard->pool->size()));
-    cursors.emplace_back(units.back().count());
-  }
+  for (const auto& shard : shards_) cursors.emplace_back(shard->order.size());
 
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -236,15 +232,15 @@ SearchResult ShardedSearch::search(const core::AlignConfig& cfg,
   for (size_t si = 0; si < nshards; ++si) {
     Shard& shard = *shards_[si];
     shard.searches.fetch_add(1, std::memory_order_relaxed);
-    auto run_slot = [&scan, &shard, &units, &cursors, &slots, &ctx, &prep,
+    auto run_slot = [&scan, &shard, &cursors, &slots, &ctx, &prep,
                      query, si, base = first_slot[si]](unsigned slot) {
       const obs::PmuReading pmu0 = obs::PmuSession::instance().read();
       obs::Span span(ctx.trace, "chunk.shard_search");
       span.set_index(si);
       auto lease = shard.cache->lease_workspace();
       engine::ScanSlot& out = slots[base + slot];
-      scan.run_slot(query, prep.get(), units[si], cursors[si], lease.ws(), out,
-                    span);
+      scan.run_slot(query, prep.get(), shard.order, cursors[si], lease.ws(),
+                    out, span);
       span.end();
       const obs::PmuReading pmu1 = obs::PmuSession::instance().read();
       const obs::PmuDelta d = obs::PmuSession::delta(pmu0, pmu1);

@@ -21,7 +21,7 @@
 // is a unique set whatever the partition shape, so merging the per-shard
 // heaps at the end — SWAPHI's shard/merge shape, with NUMA nodes playing
 // the coprocessor cards — returns results bit-identical to the unsharded
-// path for every shard count, packing policy, and ILP depth. The
+// path for every shard count and packing policy. The
 // shard/topk_identical bench sentinel and tests/test_sharded_search.cpp
 // hold that line.
 #pragma once
@@ -92,7 +92,7 @@ struct ShardStats {
 
 /// Runtime hyperparameter used when ShardOptions.shards == 0 (auto): lets
 /// the GA tuner (tune::apply_runtime_settings, "shards=N") co-tune shard
-/// count with batch-ILP and prefetch distance. 0 restores topology auto.
+/// count with the compiler flags. 0 restores topology auto.
 void set_shard_count_hint(int shards) noexcept;
 int shard_count_hint() noexcept;
 

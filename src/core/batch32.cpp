@@ -1,7 +1,6 @@
 #include "core/batch32.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
 
@@ -196,20 +195,6 @@ double Batch32Db::padding_overhead() const noexcept {
              : static_cast<double>(padded_residues_) /
                        static_cast<double>(real_residues_) -
                    1.0;
-}
-
-namespace {
-// Columns ahead of the walk front to prefetch; shared by every batch kernel.
-std::atomic<uint32_t> g_batch_prefetch_cols{kDefaultBatchPrefetchCols};
-}  // namespace
-
-uint32_t batch_prefetch_distance() noexcept {
-  return g_batch_prefetch_cols.load(std::memory_order_relaxed);
-}
-
-void set_batch_prefetch_distance(uint32_t cols) noexcept {
-  g_batch_prefetch_cols.store(std::min<uint32_t>(cols, 64),
-                              std::memory_order_relaxed);
 }
 
 Batch8Result batch32_u8_scalar(seq::SeqView q, const uint8_t* columns, uint32_t cols,

@@ -190,13 +190,8 @@ constexpr int batch_strip_cols(int lanes) noexcept { return lanes == 64 ? 4 : 6;
 
 /// Software-prefetch distance of the batch kernel, in columns: once per
 /// column strip starting at column j, the kernel prefetches the strip's
-/// column blocks from column j+distance on. 0 disables prefetch.
-/// Thread-safe; tunable at runtime (the GA tuner co-tunes it with compiler
-/// flags).
-inline constexpr uint32_t kDefaultBatchPrefetchCols = 4;
-uint32_t batch_prefetch_distance() noexcept;
-/// Clamped to [0, 64]. Results are bit-identical for every distance.
-void set_batch_prefetch_distance(uint32_t cols) noexcept;
+/// column blocks from column j+distance on.
+inline constexpr uint32_t kBatchPrefetchCols = 4;
 
 /// Run the 8-bit batch kernel for one query against one batch.
 /// `isa` must be resolved; falls back internally if the ISA lacks the
@@ -207,9 +202,9 @@ Batch8Result batch32_align_u8(seq::SeqView q, const Batch32Db::Batch& batch, int
 
 /// Run the 8-bit kernel over `count` independent batches, one after the
 /// other: out[i] receives batch i's result, bit-identical to a
-/// batch32_align_u8 call. `k_interleave` is accepted for existing callers
-/// and has no effect (the column strips keep several dependency chains in
-/// flight within one batch).
+/// batch32_align_u8 call. `k_interleave` has no effect; it stays because
+/// swvebench's KernelReplay still passes it, and goes with that replay
+/// (ROADMAP item 2).
 void batch32_align_u8_group(seq::SeqView q, const BatchCols* batches, int count,
                             int lanes, const AlignConfig& cfg, Workspace& ws,
                             simd::Isa isa, int k_interleave, Batch8Result* out);

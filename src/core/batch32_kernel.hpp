@@ -149,12 +149,11 @@ inline void batch32_walk(const BatchKernelSetup<BE>& kc, seq::SeqView q,
                          typename BE::vec& vmax) {
   constexpr uint32_t C = BE::strip;
   constexpr size_t kStripBytes = static_cast<size_t>(C) * BE::lanes;
-  const uint32_t prefetch_dist = batch_prefetch_distance();
   uint32_t j = 0;
   for (; j + C <= ncols; j += C) {
-    // Once per strip: the column blocks `prefetch_dist` columns ahead.
-    if (prefetch_dist != 0 && j + prefetch_dist < ncols) {
-      const size_t ahead = static_cast<size_t>(j + prefetch_dist) * BE::lanes;
+    // Once per strip: the column blocks kBatchPrefetchCols columns ahead.
+    if (j + kBatchPrefetchCols < ncols) {
+      const size_t ahead = static_cast<size_t>(j + kBatchPrefetchCols) * BE::lanes;
       const size_t end =
           std::min(ahead + kStripBytes, static_cast<size_t>(ncols) * BE::lanes);
       for (size_t off = ahead; off < end; off += 64) BE::prefetch(columns + off);

@@ -73,16 +73,6 @@ std::atomic<ScoreDelivery> g_delivery_override[4] = {
     ScoreDelivery::Auto, ScoreDelivery::Auto, ScoreDelivery::Auto,
     ScoreDelivery::Auto};
 
-// Per-ISA interleave pins: 0 == Auto (depth 1), else the pinned depth.
-std::atomic<int> g_ilp_override[4] = {0, 0, 0, 0};
-
-// Supported interleave depths are powers of two up to kMaxBatchInterleave.
-int normalize_ilp_depth(int k) {
-  if (k >= 4) return 4;
-  if (k >= 2) return 2;
-  return 1;
-}
-
 }  // namespace
 
 ScoreDelivery resolved_delivery(simd::Isa isa) {
@@ -98,19 +88,6 @@ ScoreDelivery resolved_delivery(simd::Isa isa) {
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery) {
   g_delivery_override[delivery_slot(isa)].store(delivery,
                                                 std::memory_order_release);
-}
-
-int resolved_ilp(simd::Isa isa) {
-  const int idx = delivery_slot(isa);
-  const int pinned = g_ilp_override[idx].load(std::memory_order_acquire);
-  return pinned != 0 ? pinned : 1;
-}
-
-void set_ilp_override(simd::Isa isa, IlpPolicy policy) {
-  const int value = policy.mode == IlpPolicy::Mode::Auto
-                        ? 0
-                        : normalize_ilp_depth(policy.k);
-  g_ilp_override[delivery_slot(isa)].store(value, std::memory_order_release);
 }
 
 DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width) {

@@ -39,29 +39,9 @@ ScoreDelivery resolved_delivery(simd::Isa isa);
 /// re-enables calibration. Thread-safe; takes effect for subsequent calls.
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery);
 
-/// Interleave-depth policy of the batch scan. The batch kernel runs one
-/// batch at a time (its column strips keep several dependency chains in
-/// flight), so K now only sets the unit grain of engine::BatchScan: units
-/// of up to K batches. Results are bit-identical for every depth.
-struct IlpPolicy {
-  enum class Mode : uint8_t { Auto, Fixed };
-  Mode mode = Mode::Auto;
-  int k = 1;  ///< concrete depth when Fixed: 1, 2, or 4
-
-  static constexpr IlpPolicy auto_policy() { return IlpPolicy{Mode::Auto, 1}; }
-  static constexpr IlpPolicy fixed(int depth) {
-    return IlpPolicy{Mode::Fixed, depth};
-  }
-};
-
-/// The concrete interleave depth (1, 2, or 4) the batch scan uses for a
-/// resolved `isa`: the per-ISA override if one is pinned, else 1.
-int resolved_ilp(simd::Isa isa);
-
-/// Pin the interleave depth for `isa`. Fixed depths are normalized to the
-/// supported set {1, 2, 4} (3 rounds down to 2). Passing an Auto policy
-/// clears the pin. Thread-safe.
-void set_ilp_override(simd::Isa isa, IlpPolicy policy);
+/// Batches per work unit of the batch scan: always 1. swvebench's
+/// KernelReplay still calls it; it goes with that replay (ROADMAP item 2).
+constexpr int resolved_ilp(simd::Isa) noexcept { return 1; }
 
 /// Full alignment through the diagonal kernel family: resolves the ISA,
 /// runs the adaptive width ladder (8 -> 16 -> 32 bits; a rung stops as soon

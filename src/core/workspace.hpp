@@ -19,8 +19,8 @@ namespace swve::core {
 /// Sized for the widest engine (64 lanes of AVX-512 u8).
 inline constexpr int kPad = 64;
 
-/// Deepest batch interleave depth core::IlpPolicy accepts. The batch kernel
-/// runs one batch at a time; K only sets the batch scan's unit grain.
+/// Bound of swvebench KernelReplay's per-group arrays (>= resolved_ilp());
+/// it goes with that replay (ROADMAP item 2).
 inline constexpr int kMaxBatchInterleave = 4;
 
 /// 64-byte-aligned, grow-only byte buffer.

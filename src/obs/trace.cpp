@@ -22,21 +22,17 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 std::atomic<uint64_t> g_sink_ids{0};
 
 uint64_t pack_meta(const TraceEvent& e) noexcept {
-  // Lanes only need 24 bits (64 max today); the top byte carries the
-  // batch-kernel interleave depth.
   return static_cast<uint64_t>(static_cast<uint8_t>(e.isa)) |
          static_cast<uint64_t>(static_cast<uint8_t>(e.trunc)) << 8 |
          static_cast<uint64_t>(e.width_bits) << 16 |
-         static_cast<uint64_t>(e.lanes & 0xffffff) << 32 |
-         static_cast<uint64_t>(e.ilp) << 56;
+         static_cast<uint64_t>(e.lanes) << 32;
 }
 
 void unpack_meta(uint64_t m, TraceEvent& e) noexcept {
   e.isa = static_cast<simd::Isa>(m & 0xff);
   e.trunc = static_cast<TruncCause>((m >> 8) & 0xff);
   e.width_bits = static_cast<uint16_t>((m >> 16) & 0xffff);
-  e.lanes = static_cast<uint32_t>((m >> 32) & 0xffffff);
-  e.ilp = static_cast<uint8_t>(m >> 56);
+  e.lanes = static_cast<uint32_t>(m >> 32);
 }
 
 /// Append one event's "args" object body (after the opening brace) to a
@@ -51,7 +47,6 @@ int format_event_args(char* buf, size_t cap, const TraceEvent& e) noexcept {
   if (e.isa != simd::Isa::Auto) app(",\"isa\":\"%s\"", simd::isa_name(e.isa));
   if (e.width_bits != 0) app(",\"width_bits\":%u", e.width_bits);
   if (e.lanes != 0) app(",\"lanes\":%u", e.lanes);
-  if (e.ilp != 0) app(",\"ilp\":%u", e.ilp);
   if (e.cells != 0) app(",\"cells\":%" PRIu64, e.cells);
   if (e.useful_cells != 0)
     app(",\"useful_cells\":%" PRIu64, e.useful_cells);

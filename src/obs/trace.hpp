@@ -61,7 +61,6 @@ struct TraceEvent {
   uint64_t useful_cells = 0;   ///< cells on real residues (batch path:
                                ///< cells minus padding — packing efficiency)
   uint64_t index = kNoIndex;   ///< chunk/batch/query index
-  uint8_t ilp = 0;             ///< batch-kernel interleave depth (0 = unset)
   TruncCause trunc = TruncCause::None;
 
   // Hardware-counter deltas over the span (obs::PmuSession start/stop
@@ -165,7 +164,7 @@ class TraceSink {
     std::atomic<uint64_t> trace_id{0};
     std::atomic<uint64_t> ts_ns{0};
     std::atomic<uint64_t> dur_ns{0};
-    std::atomic<uint64_t> meta{0};  ///< isa | trunc | width_bits | lanes | ilp
+    std::atomic<uint64_t> meta{0};  ///< isa | trunc | width_bits | lanes
     std::atomic<uint64_t> cells{0};
     std::atomic<uint64_t> useful_cells{0};
     std::atomic<uint64_t> index{0};
@@ -237,9 +236,6 @@ class Span {
   }
   void set_lanes(uint32_t lanes) noexcept {
     if (live_) ev_.lanes = lanes;
-  }
-  void set_ilp(uint8_t k) noexcept {
-    if (live_) ev_.ilp = k;
   }
   void add_cells(uint64_t cells) noexcept {
     if (live_) ev_.cells += cells;

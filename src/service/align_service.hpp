@@ -192,9 +192,7 @@ struct ServiceOptions {
   /// Service-default hits per query for search/batch.
   size_t default_top_k = 10;
 
-  // The option groups. New code addresses these directly
-  // (opt.queue.capacity = ...); the flat references below keep the
-  // pre-group spellings compiling unchanged.
+  // The option groups (opt.queue.capacity = ...).
   QueueOptions queue;
   CacheOptions cache;
   SearchOptions search;
@@ -205,43 +203,6 @@ struct ServiceOptions {
   /// executes (its in-flight slot already occupied). Lets tests stall an
   /// engine deterministically to exercise the watchdog.
   std::function<void()> before_execute_hook;
-
-  using Overflow = QueueOptions::Overflow;  // pre-group spelling
-
-  // Deprecated flat aliases (pre-group field names). Each is a reference
-  // into its group, so reads and writes through either spelling see the
-  // same storage. Prefer the grouped names in new code.
-  unsigned& executors = queue.executors;
-  size_t& queue_capacity = queue.capacity;
-  Overflow& overflow = queue.overflow;
-  bool& start_paused = queue.start_paused;
-  core::PackingPolicy& batch_packing = cache.batch_packing;
-  size_t& query_cache_capacity = cache.query_cache_capacity;
-  bool& query_cache_bypass = cache.query_cache_bypass;
-  // (swve::obs:: spelled out — the `obs` group member shadows the namespace
-  // inside this class scope.)
-  swve::obs::TraceSink*& trace_sink = obs.trace_sink;
-  double& sampler_period_s = obs.sampler_period_s;
-  double& sampler_freq_probe_ms = obs.sampler_freq_probe_ms;
-  uint32_t& topdown_every_n = obs.topdown_every_n;
-  bool& pmu_attribution = obs.pmu_attribution;
-  double& slow_request_slo_s = obs.slow_request_slo_s;
-  double& watchdog_period_s = obs.watchdog_period_s;
-
-  // The alias references must always bind to this object's own groups, so
-  // copies/moves copy the groups and let the references re-default (a
-  // compiler-generated copy would bind them into the source object).
-  ServiceOptions() = default;
-  ServiceOptions(const ServiceOptions& o) { assign(o); }
-  ServiceOptions(ServiceOptions&& o) noexcept { assign(o); }
-  ServiceOptions& operator=(const ServiceOptions& o) {
-    if (this != &o) assign(o);
-    return *this;
-  }
-  ServiceOptions& operator=(ServiceOptions&& o) noexcept {
-    if (this != &o) assign(o);
-    return *this;
-  }
 
   /// One validation seam for the whole stack: the alignment config plus
   /// structural sanity of every group (so a server refuses to start on a
@@ -312,19 +273,6 @@ struct ServiceOptions {
           Code::Unsupported,
           "ServiceOptions: SLO hysteresis eval counts must be >= 1"};
     return {};
-  }
-
- private:
-  void assign(const ServiceOptions& o) {
-    pool_threads = o.pool_threads;
-    config = o.config;
-    default_top_k = o.default_top_k;
-    queue = o.queue;
-    cache = o.cache;
-    search = o.search;
-    obs = o.obs;
-    serve = o.serve;
-    before_execute_hook = o.before_execute_hook;
   }
 };
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/batch32.hpp"
 #include "core/scalar_ref.hpp"
@@ -436,6 +438,122 @@ TEST(BatchKernel, SignedStripsMatchScalarRefOnEdgeConfigs) {
       }
       EXPECT_NE(saturated, 0u) << edge.name << ": the homolog must saturate";
     }
+  }
+}
+
+// batch32_align_u8_group runs a group of batches one after the other; each
+// result must equal a batch32_align_u8 call on that batch alone.
+
+/// All (isa, lanes) combinations the batch kernel dispatch supports on this
+/// machine. Scalar runs both lane widths (emulated engines).
+std::vector<std::pair<simd::Isa, int>> isa_lane_cases() {
+  std::vector<std::pair<simd::Isa, int>> cases = {
+      {simd::Isa::Scalar, 32}, {simd::Isa::Scalar, 64}};
+  if (simd::isa_available(simd::Isa::Avx2)) cases.push_back({simd::Isa::Avx2, 32});
+  if (simd::isa_available(simd::Isa::Avx512)) {
+    cases.push_back({simd::Isa::Avx512, 32});  // falls to the AVX2 engine
+    if (simd::cpu_features().avx512vbmi) cases.push_back({simd::Isa::Avx512, 64});
+  }
+  return cases;
+}
+
+std::vector<BatchCols> all_cols(const Batch32Db& bdb) {
+  std::vector<BatchCols> cols(bdb.batch_count());
+  for (size_t b = 0; b < bdb.batch_count(); ++b)
+    cols[b] = BatchCols{bdb.batch(b).columns, bdb.batch(b).max_len};
+  return cols;
+}
+
+/// Per-batch reference: one batch32_align_u8 call per batch.
+std::vector<Batch8Result> per_batch(seq::SeqView q, const Batch32Db& bdb, int lanes,
+                                    const AlignConfig& cfg, Workspace& ws,
+                                    simd::Isa isa) {
+  std::vector<Batch8Result> ref(bdb.batch_count());
+  for (size_t b = 0; b < ref.size(); ++b)
+    ref[b] = batch32_align_u8(q, bdb.batch(b), lanes, cfg, ws, isa);
+  return ref;
+}
+
+void expect_same(const Batch8Result& got, const Batch8Result& ref, int lanes,
+                 const char* what, size_t batch) {
+  for (int k = 0; k < lanes; ++k)
+    EXPECT_EQ(got.max_score[k], ref.max_score[k])
+        << what << " batch " << batch << " lane " << k;
+  EXPECT_EQ(got.saturated_mask, ref.saturated_mask) << what << " batch " << batch;
+}
+
+TEST(BatchKernel, GroupMatchesPerBatchCallsAcrossIsas) {
+  auto db = small_db(21, 60'000);
+  auto q = seq::generate_sequence(101, 90);
+  Workspace ws;
+  for (auto [isa, lanes] : isa_lane_cases()) {
+    for (ScoreScheme scheme : {ScoreScheme::Matrix, ScoreScheme::Fixed}) {
+      for (GapModel gaps : {GapModel::Affine, GapModel::Linear}) {
+        AlignConfig cfg;
+        cfg.isa = isa;
+        cfg.scheme = scheme;
+        cfg.gap_model = gaps;
+        if (scheme == ScoreScheme::Fixed) {
+          cfg.match = 3;
+          cfg.mismatch = -2;
+        }
+        Batch32Db bdb(db, lanes);
+        const std::vector<BatchCols> cols = all_cols(bdb);
+        ASSERT_GE(cols.size(), 3u) << "need several batches for a meaningful group";
+        const std::vector<Batch8Result> ref = per_batch(q, bdb, lanes, cfg, ws, isa);
+        std::vector<Batch8Result> got(cols.size());
+        batch32_align_u8_group(q, cols.data(), static_cast<int>(cols.size()), lanes,
+                               cfg, ws, isa, 1, got.data());
+        for (size_t b = 0; b < cols.size(); ++b)
+          expect_same(got[b], ref[b], lanes, simd::isa_name(isa), b);
+      }
+    }
+  }
+}
+
+TEST(BatchKernel, GroupRaggedCountsDecomposeExactly) {
+  auto db = small_db(22, 30'000, 20, 200);
+  auto q = seq::generate_sequence(102, 70);
+  Workspace ws;
+  AlignConfig cfg;
+  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
+  Batch32Db bdb(db, 32);
+  const std::vector<BatchCols> cols = all_cols(bdb);
+  const std::vector<Batch8Result> ref = per_batch(q, bdb, 32, cfg, ws, isa);
+  for (int count : {1, 2, 3, 5, 7}) {
+    if (count > static_cast<int>(cols.size())) break;
+    std::vector<Batch8Result> got(static_cast<size_t>(count));
+    batch32_align_u8_group(q, cols.data(), count, 32, cfg, ws, isa, 1, got.data());
+    for (int b = 0; b < count; ++b)
+      expect_same(got[static_cast<size_t>(b)], ref[static_cast<size_t>(b)], 32,
+                  "ragged", static_cast<size_t>(b));
+  }
+}
+
+TEST(BatchKernel, GroupSaturationMaskIsPerBatch) {
+  // Plant a near-copy of the query so one lane of one batch saturates; a
+  // group call must set exactly the per-batch mask bits of single calls.
+  auto q = seq::generate_sequence(103, 500);
+  std::vector<seq::Sequence> seqs;
+  for (int i = 0; i < 100; ++i)
+    seqs.push_back(seq::generate_sequence(104 + static_cast<uint64_t>(i), 80));
+  seqs.push_back(seq::mutate(q, 105, 0.03));
+  seq::SequenceDatabase db(std::move(seqs));
+  Workspace ws;
+  AlignConfig cfg;
+  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
+  for (int lanes : {32, 64}) {
+    Batch32Db bdb(db, lanes);
+    const std::vector<BatchCols> cols = all_cols(bdb);
+    const std::vector<Batch8Result> ref = per_batch(q, bdb, lanes, cfg, ws, isa);
+    uint64_t any_saturated = 0;
+    for (const Batch8Result& r : ref) any_saturated |= r.saturated_mask;
+    ASSERT_NE(any_saturated, 0u) << "setup must provoke saturation";
+    std::vector<Batch8Result> got(cols.size());
+    batch32_align_u8_group(q, cols.data(), static_cast<int>(cols.size()), lanes,
+                           cfg, ws, isa, 1, got.data());
+    for (size_t b = 0; b < cols.size(); ++b)
+      expect_same(got[b], ref[b], lanes, "saturation", b);
   }
 }
 

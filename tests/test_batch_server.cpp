@@ -136,7 +136,7 @@ void expect_matches(const BatchQueryResult& got, const SerialAnswer& want,
 }
 
 TEST(BatchServer, TilesMatchPerQuerySerialScans) {
-  // (query, unit) tiles from several queries interleave on every worker;
+  // (query, batch) tiles from several queries interleave on every worker;
   // each query's hits and exact counts must still equal its own serial
   // scan, for every pool size (and with no pool at all).
   auto db = make_db(40'000, 27);

@@ -264,7 +264,7 @@ void expect_same_stats(const core::BatchSearchStats& got,
 }
 
 TEST(DatabaseSearch, BatchEngineMatchesSerialScanForEverySchedule) {
-  // The schedule (pool size, interleave depth, packing) decides which
+  // The schedule (pool size, packing) decides which
   // worker scans which batch and when; it must never show in the answer:
   // hits equal the scalar reference, exact work counts equal one serial
   // batch_scores pass.
@@ -285,37 +285,32 @@ TEST(DatabaseSearch, BatchEngineMatchesSerialScanForEverySchedule) {
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools;
   for (unsigned threads : {1u, 2u, 3u, 4u, 7u})
     pools.push_back(std::make_unique<parallel::ThreadPool>(threads));
-  const simd::Isa isa = simd::resolve_isa(cfg.isa);
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    for (int k : {1, 2, 4}) {
-      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-      DatabaseSearch search(db, cfg, SearchMode::Batch, policy);
-      core::Workspace ws;
-      core::BatchSearchStats serial{};
-      EXPECT_EQ(core::batch_scores(q, *search.packed_db(), db, cfg, ws, &serial), ref);
-      for (const auto& pool : pools) {
-        const std::string label = std::string(core::packing_policy_name(policy)) +
-                                  " k" + std::to_string(k) + " t" +
-                                  std::to_string(pool->size());
-        SearchResult got = search.search(q, 12, pool.get());
-        EXPECT_FALSE(got.truncated) << label;
-        ASSERT_EQ(got.hits.size(), want.size()) << label;
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got.hits[i].seq_index, want[i].seq_index) << label << " #" << i;
-          EXPECT_EQ(got.hits[i].score, want[i].score) << label << " #" << i;
-          EXPECT_EQ(got.hits[i].end_query, want[i].end_query) << label << " #" << i;
-          EXPECT_EQ(got.hits[i].end_ref, want[i].end_ref) << label << " #" << i;
-        }
-        expect_same_stats(got.batch_stats, serial, label);
+    DatabaseSearch search(db, cfg, SearchMode::Batch, policy);
+    core::Workspace ws;
+    core::BatchSearchStats serial{};
+    EXPECT_EQ(core::batch_scores(q, *search.packed_db(), db, cfg, ws, &serial), ref);
+    for (const auto& pool : pools) {
+      const std::string label = std::string(core::packing_policy_name(policy)) +
+                                " t" + std::to_string(pool->size());
+      SearchResult got = search.search(q, 12, pool.get());
+      EXPECT_FALSE(got.truncated) << label;
+      ASSERT_EQ(got.hits.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.hits[i].seq_index, want[i].seq_index) << label << " #" << i;
+        EXPECT_EQ(got.hits[i].score, want[i].score) << label << " #" << i;
+        EXPECT_EQ(got.hits[i].end_query, want[i].end_query) << label << " #" << i;
+        EXPECT_EQ(got.hits[i].end_ref, want[i].end_ref) << label << " #" << i;
       }
+      expect_same_stats(got.batch_stats, serial, label);
     }
   }
-  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
 TEST(DatabaseSearch, ScheduleHandsOutCostliestUnitsFirstAndEveryBatchOnce) {
+  // A work unit is one batch of the cost order.
   auto db = make_db(60'000, 43);
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
@@ -334,46 +329,41 @@ TEST(DatabaseSearch, ScheduleHandsOutCostliestUnitsFirstAndEveryBatchOnce) {
     }
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(n));
 
-    // The engine's units, claimed by concurrent workers: each unit exactly
-    // once, no unit costing more than the one claimed before it, and
-    // between them every batch exactly once.
+    // Positions of the order, claimed by concurrent workers as the engine
+    // claims them: each position exactly once, so between them every batch
+    // exactly once, costliest first. The engine's slots, fed from such a
+    // cursor, scan n batches between them.
     const AlignConfig cfg;
     const ExecContext ctx;
-    for (int k : {1, 2, 4}) {
-      core::set_ilp_override(simd::resolve_isa(cfg.isa), core::IlpPolicy::fixed(k));
-      const engine::BatchScan scan{db, bdb, cfg, ctx, 10};
-      for (size_t slots : {size_t{1}, size_t{3}, size_t{7}}) {
-        const engine::ScanUnits units = scan.units(order, slots);
-        EXPECT_GE(units.size, 1u);
-        EXPECT_LE(units.size, static_cast<size_t>(k));
-        std::vector<std::atomic<int>> claimed(units.count());
-        parallel::WorkCursor cursor(units.count());
-        parallel::ThreadPool pool(static_cast<unsigned>(slots));
-        pool.fan_out([&](unsigned) {
-          for (size_t u; cursor.claim(u);) claimed[u].fetch_add(1);
-        });
-        std::vector<int> covered(n, 0);
-        uint64_t prev = UINT64_MAX;
-        for (size_t u = 0; u < units.count(); ++u) {
-          EXPECT_EQ(claimed[u].load(), 1) << u;
-          uint64_t c = 0;
-          for (uint32_t b : units[u]) {
-            c += uint64_t{bdb.batch(b).max_len} * 32;
-            ++covered[b];
-          }
-          EXPECT_LE(c, prev) << "k" << k << " slots " << slots << " unit " << u;
-          prev = c;
-        }
-        EXPECT_EQ(std::count(covered.begin(), covered.end(), 1), static_cast<long>(n));
-      }
+    const engine::BatchScan scan{db, bdb, cfg, ctx, 10};
+    const auto q = seq::generate_sequence(431, 60);
+    for (size_t slots : {size_t{1}, size_t{3}, size_t{7}}) {
+      std::vector<std::atomic<int>> claimed(n);
+      parallel::WorkCursor cursor(order.size());
+      parallel::ThreadPool pool(static_cast<unsigned>(slots));
+      pool.fan_out([&](unsigned) {
+        for (size_t i; cursor.claim(i);) claimed[i].fetch_add(1);
+      });
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(claimed[i].load(), 1) << "slots " << slots << " position " << i;
+
+      std::vector<engine::ScanSlot> out(slots);
+      parallel::WorkCursor scan_cursor(order.size());
+      pool.fan_out([&](unsigned s) {
+        core::Workspace ws;
+        obs::Span span(ctx.trace, "chunk.test");
+        scan.run_slot(q, nullptr, order, scan_cursor, ws, out[s], span);
+      });
+      uint64_t scanned = 0;
+      for (const engine::ScanSlot& o : out) scanned += o.batches;
+      EXPECT_EQ(scanned, n) << "slots " << slots;
     }
-    core::set_ilp_override(simd::resolve_isa(cfg.isa), core::IlpPolicy::auto_policy());
   }
 }
 
 TEST(DatabaseSearch, BatchScanStopsMidScanOnDeadlineAndCancel) {
   // A scan far longer than the stop delay: both engines (flat and sharded)
-  // must stop between units and withhold the partial answer.
+  // must stop between batches and withhold the partial answer.
   auto db = make_db(600'000, 45);
   auto q = seq::generate_sequence(440, 2000);
   DatabaseSearch flat(db, AlignConfig{}, SearchMode::Batch);

@@ -286,7 +286,7 @@ TEST(TracingOverhead, TracedPairwiseIsBitIdentical) {
 
   auto run = [&](obs::TraceSink* sink) {
     service::ServiceOptions opt;
-    opt.trace_sink = sink;
+    opt.obs.trace_sink = sink;
     service::AlignService svc(opt);
     service::AlignRequest rq;
     rq.query = q;

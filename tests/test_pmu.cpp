@@ -181,7 +181,7 @@ TEST(AlignServicePmu, DegradedAttributionIsBitIdentical) {
   auto run = [&](bool attribution) {
     service::ServiceOptions opt;
     opt.pool_threads = 2;
-    opt.pmu_attribution = attribution;
+    opt.obs.pmu_attribution = attribution;
     service::AlignService svc(db, opt);
     service::SearchRequest rq;
     rq.query = query;
@@ -212,7 +212,7 @@ TEST(AlignServicePmu, UnavailableGaugeReflectsDegradation) {
   EXPECT_GT(s.pmu_total().samples, 0u);  // wall-only aggregation still on
 
   service::ServiceOptions off = opt;
-  off.pmu_attribution = false;
+  off.obs.pmu_attribution = false;
   service::AlignService svc_off(db, off);
   EXPECT_EQ(svc_off.metrics().pmu_unavailable, 0u);
 }
@@ -314,9 +314,9 @@ TEST(Watchdog, ServiceDetectsStalledEngine) {
   TraceSink sink;
   service::ServiceOptions opt;
   opt.pool_threads = 1;
-  opt.trace_sink = &sink;
-  opt.slow_request_slo_s = 0.01;
-  opt.watchdog_period_s = 0.002;
+  opt.obs.trace_sink = &sink;
+  opt.obs.slow_request_slo_s = 0.01;
+  opt.obs.watchdog_period_s = 0.002;
   opt.before_execute_hook = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
   };

@@ -76,8 +76,8 @@ TEST(AlignService, PairwiseMatchesAligner) {
 TEST(AlignService, FifoCompletionOrderWithOneExecutor) {
   ServiceOptions opt;
   opt.pool_threads = 1;
-  opt.executors = 1;  // strict FIFO
-  opt.start_paused = true;
+  opt.queue.executors = 1;  // strict FIFO
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
   std::vector<std::future<AlignResponse>> futs;
@@ -95,8 +95,8 @@ TEST(AlignService, FifoCompletionOrderWithOneExecutor) {
 
 TEST(AlignService, QueueFullRejectionWhilePaused) {
   ServiceOptions opt;
-  opt.queue_capacity = 3;
-  opt.start_paused = true;
+  opt.queue.capacity = 3;
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
   std::vector<std::future<AlignResponse>> ok;
@@ -117,7 +117,7 @@ TEST(AlignService, QueueFullRejectionWhilePaused) {
 
 TEST(AlignService, DeadlineExpiresInQueue) {
   ServiceOptions opt;
-  opt.start_paused = true;
+  opt.queue.start_paused = true;
   AlignService svc(opt);
 
   AlignRequest rq = pairwise_request(7);
@@ -239,7 +239,7 @@ TEST(AlignService, ShutdownFailsQueuedRequests) {
   std::future<AlignResponse> fut;
   {
     ServiceOptions opt;
-    opt.start_paused = true;
+    opt.queue.start_paused = true;
     AlignService svc(opt);
     fut = svc.submit(pairwise_request(8));
   }  // destructor: queued request aborted
@@ -317,7 +317,7 @@ TEST(AlignService, TraceSinkCapturesRequestSpans) {
   obs::TraceSink sink;
   ServiceOptions opt;
   opt.pool_threads = 2;
-  opt.trace_sink = &sink;
+  opt.obs.trace_sink = &sink;
   AlignService svc(db, opt);
 
   AlignResponse presp = svc.submit(pairwise_request(300)).get();
@@ -371,7 +371,7 @@ TEST(AlignService, TraceMarksDeadlineTruncation) {
   obs::TraceSink sink;
   ServiceOptions opt;
   opt.pool_threads = 1;
-  opt.trace_sink = &sink;
+  opt.obs.trace_sink = &sink;
   AlignService svc(db, opt);
 
   SearchRequest rq;
@@ -435,8 +435,8 @@ TEST(AlignService, DumpMetricsFormats) {
 
 TEST(AlignService, SamplerCollectsTimeSeries) {
   ServiceOptions opt;
-  opt.sampler_period_s = 0.02;
-  opt.sampler_freq_probe_ms = 1.0;
+  opt.obs.sampler_period_s = 0.02;
+  opt.obs.sampler_freq_probe_ms = 1.0;
   AlignService svc(opt);
   svc.submit(pairwise_request(320)).get();
   std::this_thread::sleep_for(milliseconds(120));
@@ -455,7 +455,7 @@ TEST(AlignService, SamplerCollectsTimeSeries) {
 
 TEST(AlignService, TopdownSamplingAttachesBreakdown) {
   ServiceOptions opt;
-  opt.topdown_every_n = 1;  // every request
+  opt.obs.topdown_every_n = 1;  // every request
   AlignService svc(opt);
   AlignResponse resp = svc.submit(pairwise_request(330, 200, 300)).get();
   ASSERT_TRUE(resp.trace.topdown.has_value());
@@ -474,8 +474,8 @@ TEST(AlignService, TopdownSamplingAttachesBreakdown) {
 
 TEST(AlignService, BlockingOverflowEventuallyAccepts) {
   ServiceOptions opt;
-  opt.queue_capacity = 1;
-  opt.overflow = ServiceOptions::Overflow::Block;
+  opt.queue.capacity = 1;
+  opt.queue.overflow = QueueOptions::Overflow::Block;
   AlignService svc(opt);
 
   // With Block, every submit succeeds (the submitter stalls instead of

@@ -3,8 +3,8 @@
 // The load-bearing property is bit-identity: splitting the packed database
 // into S shards, scanning them on independent pinned pools, and merging the
 // bounded per-shard heaps must return exactly the flat engine's answer —
-// for every packing policy, interleave depth, and shard count, including
-// ragged splits and duplicate-score tie-breaks. Also covers the shard
+// for every packing policy and shard count, including ragged splits and
+// duplicate-score tie-breaks. Also covers the shard
 // planner's invariants, the typed config error for impossible shard
 // counts, the SWVE_NUMA=off escape hatch, cancellation/deadline mid-shard,
 // concurrent searches on one instance (the TSan lane runs this file), and
@@ -47,51 +47,45 @@ void expect_same_hits(const SearchResult& got, const SearchResult& want,
   }
 }
 
-TEST(ShardedSearch, BitIdenticalAcrossPoliciesDepthsAndShardCounts) {
+TEST(ShardedSearch, BitIdenticalAcrossPoliciesAndShardCounts) {
   auto db = make_db(160'000);
   auto q = seq::generate_sequence(90, 150);
-  const simd::Isa isa = simd::resolve_isa(simd::Isa::Auto);
 
   for (core::PackingPolicy policy :
        {core::PackingPolicy::DbOrder, core::PackingPolicy::LengthSorted,
         core::PackingPolicy::LengthBinned}) {
-    for (int k : {1, 2, 4}) {
-      core::set_ilp_override(isa, core::IlpPolicy::fixed(k));
-      DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
-      SearchResult want = flat.search(q, 12);
-      const size_t batches = flat.packed_db()->batch_count();
-      ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
-      // Exact work counts of one serial pass: every shard split and pool
-      // size must sum to them.
-      core::Workspace ws;
-      core::BatchSearchStats serial{};
-      core::batch_scores(q, *flat.packed_db(), db, core::AlignConfig{}, ws, &serial);
+    DatabaseSearch flat(db, core::AlignConfig{}, SearchMode::Batch, policy);
+    SearchResult want = flat.search(q, 12);
+    const size_t batches = flat.packed_db()->batch_count();
+    ASSERT_GE(batches, 7u) << "workload too small to exercise S=7";
+    // Exact work counts of one serial pass: every shard split and pool
+    // size must sum to them.
+    core::Workspace ws;
+    core::BatchSearchStats serial{};
+    core::batch_scores(q, *flat.packed_db(), db, core::AlignConfig{}, ws, &serial);
 
-      for (int s : {1, 2, 3, 7}) {
-        for (unsigned threads : {4u, 7u}) {
-          const std::string label = std::string(core::packing_policy_name(policy)) +
-                                    " k" + std::to_string(k) + " s" +
-                                    std::to_string(s) + " t" + std::to_string(threads);
-          DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch,
-                                 policy);
-          ShardOptions sopt;
-          sopt.shards = s;
-          sopt.total_threads = threads;
-          auto ok = sharded.enable_sharding(sopt);
-          ASSERT_TRUE(ok.ok()) << ok.error().message;
-          ASSERT_NE(sharded.sharded(), nullptr);
-          EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
-          SearchResult got = sharded.search(q, 12);
-          expect_same_hits(got, want, label);
-          EXPECT_EQ(got.batch_stats.cells8, serial.cells8) << label;
-          EXPECT_EQ(got.batch_stats.useful_cells8, serial.useful_cells8) << label;
-          EXPECT_EQ(got.batch_stats.rescored, serial.rescored) << label;
-          EXPECT_EQ(got.batch_stats.rescored_cells, serial.rescored_cells) << label;
-        }
+    for (int s : {1, 2, 3, 7}) {
+      for (unsigned threads : {4u, 7u}) {
+        const std::string label = std::string(core::packing_policy_name(policy)) +
+                                  " s" + std::to_string(s) + " t" +
+                                  std::to_string(threads);
+        DatabaseSearch sharded(db, core::AlignConfig{}, SearchMode::Batch, policy);
+        ShardOptions sopt;
+        sopt.shards = s;
+        sopt.total_threads = threads;
+        auto ok = sharded.enable_sharding(sopt);
+        ASSERT_TRUE(ok.ok()) << ok.error().message;
+        ASSERT_NE(sharded.sharded(), nullptr);
+        EXPECT_EQ(sharded.sharded()->shard_count(), static_cast<size_t>(s));
+        SearchResult got = sharded.search(q, 12);
+        expect_same_hits(got, want, label);
+        EXPECT_EQ(got.batch_stats.cells8, serial.cells8) << label;
+        EXPECT_EQ(got.batch_stats.useful_cells8, serial.useful_cells8) << label;
+        EXPECT_EQ(got.batch_stats.rescored, serial.rescored) << label;
+        EXPECT_EQ(got.batch_stats.rescored_cells, serial.rescored_cells) << label;
       }
     }
   }
-  core::set_ilp_override(isa, core::IlpPolicy::auto_policy());
 }
 
 TEST(ShardedSearch, PlanShardsIsContiguousCompleteAndNonEmpty) {
