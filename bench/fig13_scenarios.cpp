@@ -26,6 +26,7 @@
 // --json PATH writes the headline numbers for bench/check_regression.py.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -121,14 +122,23 @@ int main(int argc, char** argv) {
       cells += static_cast<uint64_t>(lq) * lr;
     }
     core::Workspace ws;
-    // Warm up, then measure the steady state (no allocation per call).
+    // Warm up, then measure the steady state (no allocation per call). One
+    // pass takes milliseconds in --quick mode, so report the median of
+    // kRounds timed passes.
     for (int i = 0; i < 100; ++i) core::diag_align(pairs_q[0], pairs_r[0], cfg, ws);
-    perf::Stopwatch sw;
-    for (int i = 0; i < pairs; ++i)
-      core::diag_align(pairs_q[static_cast<size_t>(i)], pairs_r[static_cast<size_t>(i)],
-                       cfg, ws);
-    double g = perf::gcups(cells, sw.seconds());
-    double per_call_us = sw.seconds() / pairs * 1e6;
+    constexpr int kRounds = 5;
+    std::vector<double> secs;
+    for (int round = 0; round < kRounds; ++round) {
+      perf::Stopwatch sw;
+      for (int i = 0; i < pairs; ++i)
+        core::diag_align(pairs_q[static_cast<size_t>(i)],
+                         pairs_r[static_cast<size_t>(i)], cfg, ws);
+      secs.push_back(sw.seconds());
+    }
+    std::sort(secs.begin(), secs.end());
+    const double median_s = secs[kRounds / 2];
+    double g = perf::gcups(cells, median_s);
+    double per_call_us = median_s / pairs * 1e6;
     perf::Table t({"pairs", "mean pair", "GCUPS", "us/call"});
     t.row({std::to_string(pairs), "~80x80", perf::Table::num(g, 2),
            perf::Table::num(per_call_us, 2)});

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 
 #include "baseline/diag_basic.hpp"
 #include "baseline/scan.hpp"
@@ -42,10 +43,16 @@ void report_cells(benchmark::State& state, uint64_t cells_per_iter) {
       benchmark::Counter::kIsRate, benchmark::Counter::OneK::kIs1000);
 }
 
+// One fixed-width kernel pass; `delivery` pins the Matrix score delivery
+// (Auto: what a default AlignConfig gets on this host).
 void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
-                   core::ScoreScheme scheme) {
+                   core::ScoreScheme scheme, core::ScoreDelivery delivery) {
   if (!simd::isa_available(isa)) {
     state.SkipWithError("ISA unavailable");
+    return;
+  }
+  if (delivery == core::ScoreDelivery::Shuffle && !simd::cpu_features().avx512vbmi) {
+    state.SkipWithError("needs AVX-512-VBMI");  // a Shuffle pin would run Fill
     return;
   }
   const seq::Sequence& q = bench_query(static_cast<int>(state.range(0)));
@@ -56,6 +63,7 @@ void BM_DiagKernel(benchmark::State& state, simd::Isa isa, core::Width width,
   cfg.scheme = scheme;
   cfg.match = 5;
   cfg.mismatch = -2;
+  cfg.delivery = delivery;
   for (auto _ : state) {
     core::Alignment a = core::diag_align(q, t, cfg, tls_ws());
     benchmark::DoNotOptimize(a.score);
@@ -193,20 +201,34 @@ void BM_Batch32Isa(benchmark::State& state, simd::Isa isa) {
       ->Unit(benchmark::kMillisecond)
 
 int main(int argc, char** argv) {
+  using core::ScoreDelivery;
   using core::ScoreScheme;
   using core::Width;
   using simd::Isa;
+  constexpr ScoreDelivery kAuto = ScoreDelivery::Auto;
   SWVE_REG("diag/scalar/w16", BM_DiagKernel, Isa::Scalar, Width::W16,
-           ScoreScheme::Matrix);
-  SWVE_REG("diag/avx2/w8", BM_DiagKernel, Isa::Avx2, Width::W8, ScoreScheme::Matrix);
-  SWVE_REG("diag/avx2/w16", BM_DiagKernel, Isa::Avx2, Width::W16, ScoreScheme::Matrix);
-  SWVE_REG("diag/avx2/w32", BM_DiagKernel, Isa::Avx2, Width::W32, ScoreScheme::Matrix);
+           ScoreScheme::Matrix, kAuto);
+  SWVE_REG("diag/avx2/w8", BM_DiagKernel, Isa::Avx2, Width::W8, ScoreScheme::Matrix,
+           kAuto);
+  SWVE_REG("diag/avx2/w16", BM_DiagKernel, Isa::Avx2, Width::W16,
+           ScoreScheme::Matrix, kAuto);
+  SWVE_REG("diag/avx2/w32", BM_DiagKernel, Isa::Avx2, Width::W32,
+           ScoreScheme::Matrix, kAuto);
   SWVE_REG("diag/avx2/w16/fixed", BM_DiagKernel, Isa::Avx2, Width::W16,
-           ScoreScheme::Fixed);
+           ScoreScheme::Fixed, kAuto);
   SWVE_REG("diag/avx512/w16", BM_DiagKernel, Isa::Avx512, Width::W16,
-           ScoreScheme::Matrix);
+           ScoreScheme::Matrix, kAuto);
   SWVE_REG("diag/avx512/w8", BM_DiagKernel, Isa::Avx512, Width::W8,
-           ScoreScheme::Matrix);
+           ScoreScheme::Matrix, kAuto);
+  // Delivery-pinned rows: the evidence for Auto = Shuffle on VBMI hosts,
+  // per rung.
+  for (Width w : {Width::W8, Width::W16})
+    for (auto [name, d] : {std::pair{"gather", ScoreDelivery::Gather},
+                           std::pair{"shuffle", ScoreDelivery::Shuffle}})
+      SWVE_REG((std::string("diag/avx512/") + (w == Width::W8 ? "w8/" : "w16/") +
+                name)
+                   .c_str(),
+               BM_DiagKernel, Isa::Avx512, w, ScoreScheme::Matrix, d);
   for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
     const std::string base = std::string("diag/") + simd::isa_name(isa) + "/adaptive/";
     SWVE_REG((base + "homolog").c_str(), BM_DiagAdaptive, isa, true);

@@ -10,9 +10,11 @@
 //     (diagonal-based memory linearization, Fig 2);
 //   * the reference is reversed once so the diagonal's substitution-matrix
 //     indices 32*q[i] + r[d-i] are two forward contiguous loads and one
-//     vector add (Fig 4); scores arrive either through vpgatherdd (Gather)
-//     or a scalar-staged linear buffer (Fill) — chosen at runtime, because
-//     gather throughput varies wildly across microarchitectures;
+//     vector add (Fig 4); scores arrive through an in-register byte-table
+//     lookup (Shuffle, AVX-512-VBMI: one lookup per 64 rows at 8 and 16
+//     bits), vpgatherdd (Gather) or a scalar-staged linear buffer (Fill) —
+//     Gather vs Fill chosen at runtime, because gather throughput varies
+//     wildly across microarchitectures;
 //   * full vectors cover the diagonal body; the ragged tail is ONE
 //     zero-masked vector (the paper's Fig 3 zero-padding), with invalid
 //     lanes blended to 0 — exactly the boundary value the next diagonals
@@ -114,6 +116,17 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   using elem = typename E::elem;
   using vec = typename E::vec;
   constexpr int V = E::lanes;
+  // Encoded-residue feed: byte codes for Shuffle (lookup indices at every
+  // width), element-width codes for Fixed (compare feed).
+  using code = std::conditional_t<SM == KMode::Shuffle, uint8_t, elem>;
+  // Vector steps one score lookup feeds (2 for 16-bit Shuffle: one byte
+  // lookup covers 64 rows).
+  constexpr int kSteps = [] {
+    if constexpr (SM == KMode::Shuffle)
+      return E::shuffle_steps;
+    else
+      return 1;
+  }();
   constexpr int64_t kCap = E::cap;
 
   const int m = rq.m;
@@ -156,8 +169,8 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   const int32_t* mat32 = nullptr;
   const int32_t* qmul = nullptr;
   int32_t* dbrev = nullptr;
-  const elem* qencE = nullptr;
-  elem* dbrevE = nullptr;
+  const code* qencE = nullptr;
+  code* dbrevE = nullptr;
   [[maybe_unused]] elem* sbuf = nullptr;
   // Cached query feeds, if the caller supplied matching ones. The per-call
   // build below produces exactly these bytes (padding included), so using
@@ -187,18 +200,16 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
   }
   if constexpr (SM == KMode::Fixed || SM == KMode::Shuffle) {
     if (prep != nullptr) {
-      qencE = prep->template qenc<elem>();
+      qencE = prep->template qenc<code>();
     } else {
-      // Encoded residues widened to the element type (compare feed for
-      // Fixed, lookup indices for Shuffle). Pads zeroed: code 0 is a valid
-      // index.
-      elem* qe = static_cast<elem*>(
-          ws.qenc.ensure_zeroed((static_cast<size_t>(m) + kPad) * sizeof(elem)));
+      // Encoded residues as `code`s. Pads zeroed: code 0 is a valid index.
+      code* qe = static_cast<code*>(
+          ws.qenc.ensure_zeroed((static_cast<size_t>(m) + kPad) * sizeof(code)));
       for (int i = 0; i < m; ++i) qe[i] = q[i];
       qencE = qe;
     }
-    dbrevE = static_cast<elem*>(
-        ws.dbrev_enc.ensure_zeroed((static_cast<size_t>(n) + kPad) * sizeof(elem)));
+    dbrevE = static_cast<code*>(
+        ws.dbrev_enc.ensure_zeroed((static_cast<size_t>(n) + kPad) * sizeof(code)));
     for (int t = 0; t < n; ++t) dbrevE[t] = r[n - 1 - t];
   }
   // Shuffle delivery: stage the biased byte table into registers once.
@@ -266,22 +277,26 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
 
   uint64_t vec_cells = 0, scalar_cells = 0;
 
-  // One DP step for V lanes at base row i; `valid` < V marks the ragged
-  // tail (Fig 3): lanes >= valid are computed but blended to zero before
-  // every store, which is exactly the "never reached" boundary value.
-  auto vector_step = [&](int i, int lo, int d, const int32_t* dbr,
-                         const elem* dbrE, uint8_t* tbrow, int valid) {
-    vec sb;
+  // Biased scores of the kSteps * V rows from base row i: sb[k] feeds the
+  // vector step at row i + k * V. Reads stay inside the kPad margins even
+  // when fewer rows are valid (single vector, masked tail).
+  auto scores = [&](int i, const int32_t* dbr, const code* dbrE, vec* sb) {
     if constexpr (SM == KMode::Gather)
-      sb = E::gather_scores(qmul + i, dbr + i, mat32, bias);
+      sb[0] = E::gather_scores(qmul + i, dbr + i, mat32, bias);
     else if constexpr (SM == KMode::Fill)
-      sb = E::loadu(sbuf + i);
+      sb[0] = E::loadu(sbuf + i);
     else if constexpr (SM == KMode::Shuffle)
-      sb = E::shuffle_scores(stab, qencE + i, dbrE + i);
+      E::shuffle_scores(stab, qencE + i, dbrE + i, sb);
     else
-      sb = E::blend(E::cmpeq(E::loadu(qencE + i), E::loadu(dbrE + i)), vmis_b,
-                    vmatch_b);
-    (void)lo;
+      sb[0] = E::blend(E::cmpeq(E::loadu(qencE + i), E::loadu(dbrE + i)),
+                       vmis_b, vmatch_b);
+  };
+
+  // One DP step for V lanes at base row i with scores sb; `valid` < V
+  // marks the ragged tail (Fig 3): lanes >= valid are computed but blended
+  // to zero before every store, which is exactly the "never reached"
+  // boundary value.
+  auto vector_step = [&](int i, int d, vec sb, uint8_t* tbrow, int valid) {
     const vec hd = E::loadu(Hp2 + i - 1);
     const vec hs = E::add_score(hd, sb, vbias);
     vec e, f;
@@ -418,7 +433,7 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
     const int len = hi - lo + 1;
     [[maybe_unused]] const int32_t* dbr =
         dbrev != nullptr ? dbrev + (n - 1 - d) : nullptr;
-    [[maybe_unused]] const elem* dbrE =
+    [[maybe_unused]] const code* dbrE =
         dbrevE != nullptr ? dbrevE + (n - 1 - d) : nullptr;
     [[maybe_unused]] uint8_t* tbrow = nullptr;
     if constexpr (TB) tbrow = tbdirs + tboff[d] - lo;
@@ -432,13 +447,24 @@ DiagOutput diag_align_impl(const DiagRequest& rq) {
         for (int i = lo; i <= hi; ++i)
           sbuf[i] = static_cast<elem>(mat32[qmul[i] + dbri[i]] + bias);
       }
+      vec sb[kSteps];
       int i = lo;
+      if constexpr (kSteps > 1) {
+        for (; i + kSteps * V <= hi + 1; i += kSteps * V) {
+          scores(i, dbr, dbrE, sb);
+          for (int k = 0; k < kSteps; ++k)
+            vector_step(i + k * V, d, sb[k], tbrow, V);
+          vec_cells += kSteps * V;
+        }
+      }
       for (; i + V <= hi + 1; i += V) {
-        vector_step(i, lo, d, dbr, dbrE, tbrow, V);
+        scores(i, dbr, dbrE, sb);
+        vector_step(i, d, sb[0], tbrow, V);
         vec_cells += V;
       }
       if (i <= hi) {  // ragged tail: one zero-masked vector (Fig 3)
-        vector_step(i, lo, d, dbr, dbrE, tbrow, hi - i + 1);
+        scores(i, dbr, dbrE, sb);
+        vector_step(i, d, sb[0], tbrow, hi - i + 1);
         scalar_cells += static_cast<uint64_t>(hi - i + 1);
       }
     }

@@ -10,10 +10,11 @@ namespace swve::core {
 
 namespace {
 
-// One-time per-ISA micro-calibration of Matrix-mode score delivery:
-// gather throughput differs by an order of magnitude across
-// microarchitectures (Downfall-mitigated parts make vpgatherdd glacial),
-// so time both paths once on a small synthetic pair and cache the winner.
+// One-time per-ISA micro-calibration of Matrix-mode score delivery where
+// no byte shuffle exists: gather throughput differs by an order of
+// magnitude across microarchitectures (Downfall-mitigated parts make
+// vpgatherdd glacial), so time both paths once on a small synthetic pair
+// and cache the winner.
 ScoreDelivery calibrate_delivery(simd::Isa isa) {
   constexpr int kLen = 384;
   std::vector<uint8_t> q(kLen), r(kLen);
@@ -47,17 +48,9 @@ ScoreDelivery calibrate_delivery(simd::Isa isa) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
-  ScoreDelivery best = ScoreDelivery::Gather;
-  double best_t = time_mode(ScoreDelivery::Gather);
-  if (double t = time_mode(ScoreDelivery::Fill); t < best_t) {
-    best = ScoreDelivery::Fill;
-    best_t = t;
-  }
-  if (isa == simd::Isa::Avx512 && simd::cpu_features().avx512vbmi) {
-    if (double t = time_mode(ScoreDelivery::Shuffle); t < best_t)
-      best = ScoreDelivery::Shuffle;
-  }
-  return best;
+  const double gather_t = time_mode(ScoreDelivery::Gather);
+  return time_mode(ScoreDelivery::Fill) < gather_t ? ScoreDelivery::Fill
+                                                   : ScoreDelivery::Gather;
 }
 
 int delivery_slot(simd::Isa isa) {
@@ -67,8 +60,8 @@ int delivery_slot(simd::Isa isa) {
                                    : 0;
 }
 
-// Per-ISA pins (Auto == not pinned). Checked before the calibration cache
-// so tests/services can force a path without re-running calibration.
+// Per-ISA pins (Auto == not pinned). Checked before the VBMI rule and the
+// calibration cache so tests/services can force a path.
 std::atomic<ScoreDelivery> g_delivery_override[4] = {
     ScoreDelivery::Auto, ScoreDelivery::Auto, ScoreDelivery::Auto,
     ScoreDelivery::Auto};
@@ -79,6 +72,13 @@ ScoreDelivery resolved_delivery(simd::Isa isa) {
   const int idx = delivery_slot(isa);
   ScoreDelivery pinned = g_delivery_override[idx].load(std::memory_order_acquire);
   if (pinned != ScoreDelivery::Auto) return pinned;
+  // The VBMI byte shuffle needs no timing: one lookup per 64 rows at 8 and
+  // 16 bits against four gathers. A calibration timed on one rung also
+  // misjudges the other: on the 16-bit rung the two are within noise, on
+  // the 8-bit rung the shuffle is far faster.
+  if (isa == simd::Isa::Avx512 && simd::isa_available(isa) &&
+      simd::cpu_features().avx512vbmi)
+    return ScoreDelivery::Shuffle;
   static std::once_flag once[4];
   static ScoreDelivery cache[4];
   std::call_once(once[idx], [&] { cache[idx] = calibrate_delivery(isa); });

@@ -29,14 +29,15 @@ DiagOutput diag_avx512(const DiagRequest& rq, Width width);
 DiagOutput run_diag_kernel(const DiagRequest& rq, simd::Isa isa, Width width);
 
 /// The concrete ScoreDelivery that ScoreDelivery::Auto resolves to for a
-/// resolved `isa`: the per-ISA override if one is pinned, else the cached
-/// one-time micro-calibration result for this machine.
+/// resolved `isa`: the per-ISA override if one is pinned; else Shuffle for
+/// AVX-512 on a VBMI host (no timing); else the cached one-time Gather vs
+/// Fill micro-calibration result for this machine.
 ScoreDelivery resolved_delivery(simd::Isa isa);
 
 /// Pin what Auto resolves to for `isa` (tests and the service use this to
 /// fix a delivery path deterministically instead of depending on hidden
-/// calibration state). Passing ScoreDelivery::Auto clears the pin and
-/// re-enables calibration. Thread-safe; takes effect for subsequent calls.
+/// calibration state). Passing ScoreDelivery::Auto clears the pin.
+/// Thread-safe; takes effect for subsequent calls.
 void set_delivery_override(simd::Isa isa, ScoreDelivery delivery);
 
 /// Batches per work unit of the batch scan: always 1. swvebench's

@@ -32,10 +32,11 @@ enum class ScoreScheme : uint8_t { Matrix, Fixed };
 ///            buffer, then vector consumption.
 ///   Shuffle— in-register lookups of the biased byte table with vpermi2b
 ///            (AVX-512-VBMI only; the Fig 4/5 "extract scores with
-///            shuffling" path). Silently degrades to Fill elsewhere.
-///   Auto   — one-time runtime micro-calibration picks the fastest
-///            available path on this machine (the paper's §IV-I
-///            autotuning direction).
+///            shuffling" path), one lookup per 64 rows at 8 and 16 bits.
+///            Silently degrades to Fill elsewhere.
+///   Auto   — Shuffle on AVX-512-VBMI hosts; elsewhere a one-time runtime
+///            micro-calibration picks the faster of Gather and Fill on
+///            this machine (the paper's §IV-I autotuning direction).
 enum class ScoreDelivery : uint8_t { Auto, Gather, Fill, Shuffle };
 
 struct AlignConfig {

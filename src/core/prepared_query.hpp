@@ -2,9 +2,10 @@
 //
 // Every diag_align call rebuilds two O(m) arrays into the workspace before
 // the DP sweep: the gather-index feed qmul32 (32 * q[i], Fig 4) and the
-// width-widened encoded query qenc (compare feed for Fixed scoring, lookup
-// indices for Shuffle delivery). A database search streams thousands of
-// targets against ONE query, and a service sees the same query on
+// encoded query qenc (byte lookup indices for Shuffle delivery at every
+// width; the width-widened compare feed for Fixed scoring). A database
+// search streams thousands of targets against ONE query, and a service
+// sees the same query on
 // back-to-back requests — so this state can be built once and shared
 // read-only across threads. A kernel handed a PreparedQuery skips the
 // rebuild; results are bit-identical either way (the arrays hold exactly

@@ -27,25 +27,29 @@ inline ShuffleTable load_shuffle_table(const uint8_t* mat8) {
 }
 
 /// Per byte lane: mat8[q*32 + r], q and r in [0, 32). Eight vpermi2b
-/// lookups (one per 4-row segment) merged by the segment id q >> 2.
-/// Requires AVX-512-VBMI (this TU is compiled with it; runtime gating is
-/// the dispatcher's responsibility).
+/// lookups (one per 4-row segment q >> 2) merged by a 3-level blend tree on
+/// bits 2, 3 and 4 of q. Requires AVX-512-VBMI (this TU is compiled with
+/// it; runtime gating is the dispatcher's responsibility).
 inline __m512i lookup_q_r(const ShuffleTable& t, __m512i vq, __m512i vr) {
   // idx7 = (q & 3) << 5 | r. Since q & 3 <= 3, the epi16 shift cannot
   // bleed across byte lanes.
   const __m512i idx = _mm512_or_si512(
       _mm512_slli_epi16(_mm512_and_si512(vq, _mm512_set1_epi8(3)), 5), vr);
-  const __m512i seg = _mm512_srli_epi16(
-      _mm512_and_si512(vq, _mm512_set1_epi8(static_cast<char>(0xFC))), 2);
-  __m512i res = _mm512_permutex2var_epi8(t.seg[0], idx, t.seg[1]);
-  for (int s = 1; s < 8; ++s) {
-    const __m512i cand =
-        _mm512_permutex2var_epi8(t.seg[2 * s], idx, t.seg[2 * s + 1]);
-    res = _mm512_mask_mov_epi8(
-        res, _mm512_cmpeq_epi8_mask(seg, _mm512_set1_epi8(static_cast<char>(s))),
-        cand);
+  const __mmask64 b2 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(4));
+  const __mmask64 b3 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(8));
+  const __mmask64 b4 = _mm512_test_epi8_mask(vq, _mm512_set1_epi8(16));
+  __m512i l2[2];
+  for (int h = 0; h < 2; ++h) {
+    __m512i l1[2];
+    for (int p = 0; p < 2; ++p) {
+      const int s = 4 * h + 2 * p;  // segments s (bit 2 clear), s + 1 (set)
+      l1[p] = _mm512_mask_blend_epi8(
+          b2, _mm512_permutex2var_epi8(t.seg[2 * s], idx, t.seg[2 * s + 1]),
+          _mm512_permutex2var_epi8(t.seg[2 * s + 2], idx, t.seg[2 * s + 3]));
+    }
+    l2[h] = _mm512_mask_blend_epi8(b3, l1[0], l1[1]);
   }
-  return res;
+  return _mm512_mask_blend_epi8(b4, l2[0], l2[1]);
 }
 
 }  // namespace detail_avx512
@@ -58,14 +62,17 @@ struct Avx512U8 {
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 255;
   static constexpr bool has_shuffle_scores = true;
+  /// Vector steps fed by one shuffle_scores lookup (64 rows).
+  static constexpr int shuffle_steps = 1;
   using shuffle_tab = detail_avx512::ShuffleTable;
   static shuffle_tab load_shuffle_table(const uint8_t* mat8) {
     return detail_avx512::load_shuffle_table(mat8);
   }
-  static vec shuffle_scores(const shuffle_tab& t, const elem* qenc,
-                            const elem* dbr_rev) {
-    return detail_avx512::lookup_q_r(t, _mm512_loadu_si512(qenc),
-                                     _mm512_loadu_si512(dbr_rev));
+  /// Biased scores of 64 rows from their byte codes.
+  static void shuffle_scores(const shuffle_tab& t, const uint8_t* qenc,
+                             const uint8_t* dbr_rev, vec* out) {
+    out[0] = detail_avx512::lookup_q_r(t, _mm512_loadu_si512(qenc),
+                                       _mm512_loadu_si512(dbr_rev));
   }
 
   static vec zero() { return _mm512_setzero_si512(); }
@@ -139,18 +146,21 @@ struct Avx512U16 {
   static constexpr bool is_signed = false;
   static constexpr int64_t cap = 65535;
   static constexpr bool has_shuffle_scores = true;
+  /// Vector steps fed by one shuffle_scores lookup: 64 rows of byte codes
+  /// are two vectors of 32 u16 lanes.
+  static constexpr int shuffle_steps = 2;
   using shuffle_tab = detail_avx512::ShuffleTable;
   static shuffle_tab load_shuffle_table(const uint8_t* mat8) {
     return detail_avx512::load_shuffle_table(mat8);
   }
-  static vec shuffle_scores(const shuffle_tab& t, const elem* qenc,
-                            const elem* dbr_rev) {
-    // Narrow the u16 codes to bytes (< 32), run the byte lookup, widen.
-    const __m256i q8 = _mm512_cvtepi16_epi8(_mm512_loadu_si512(qenc));
-    const __m256i r8 = _mm512_cvtepi16_epi8(_mm512_loadu_si512(dbr_rev));
+  /// Biased scores of 64 rows from their byte codes: one byte lookup, its
+  /// low and high halves widened (vpmovzxbw) to rows 0-31 and 32-63.
+  static void shuffle_scores(const shuffle_tab& t, const uint8_t* qenc,
+                             const uint8_t* dbr_rev, vec* out) {
     const __m512i res8 = detail_avx512::lookup_q_r(
-        t, _mm512_castsi256_si512(q8), _mm512_castsi256_si512(r8));
-    return _mm512_cvtepu8_epi16(_mm512_castsi512_si256(res8));
+        t, _mm512_loadu_si512(qenc), _mm512_loadu_si512(dbr_rev));
+    out[0] = _mm512_cvtepu8_epi16(_mm512_castsi512_si256(res8));
+    out[1] = _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(res8, 1));
   }
 
   static vec zero() { return _mm512_setzero_si512(); }

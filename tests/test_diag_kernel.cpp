@@ -253,6 +253,69 @@ TEST_P(DiagKernelTest, TracebackCellCapThrows) {
   EXPECT_THROW(diag_align(q, r, cfg, ws_), std::length_error);
 }
 
+// The VBMI byte-shuffle delivery at 8 and 16 bits. A 16-bit pass feeds two
+// 32-lane vector steps from one 64-row lookup before the single-vector and
+// masked-tail steps, so the query lengths put diagonals on every split:
+// scalar (<= 4 cells), masked tail only, one vector, one and two 64-row
+// lookups, each with and without a tail. The sequences cycle through all
+// 24 protein codes (B, Z, X and * included), so every 4-row table segment
+// and every branch of the lookup's blend tree is taken. Engines without the
+// shuffle (every ISA but AVX-512-VBMI, and 32 bits) run a Shuffle pin as
+// Fill; AllScoreDeliveriesAgree covers that fallback.
+TEST_P(DiagKernelTest, ShufflePinnedMatchesGoldenAndFill) {
+  if (GetParam().isa != simd::Isa::Avx512 || GetParam().width == Width::W32 ||
+      !simd::cpu_features().avx512vbmi)
+    GTEST_SKIP() << "needs the AVX-512-VBMI shuffle at 8 or 16 bits";
+  const std::string letters(seq::Alphabet::protein().letters());
+  ASSERT_EQ(letters.size(), 24u);
+  // Residue t of a sequence cycling through every code with a given stride
+  // (coprime to 24) and phase.
+  auto cyc = [&](int len, int stride, int phase) {
+    std::string s(static_cast<size_t>(len), ' ');
+    for (int t = 0; t < len; ++t)
+      s[static_cast<size_t>(t)] = letters[static_cast<size_t>((t * stride + phase) % 24)];
+    return seq::Sequence("c", s, seq::Alphabet::protein());
+  };
+  std::vector<int> lengths = {1, 4, 5};
+  for (int c : {32, 64, 96, 128, 192})
+    for (int m = c - 1; m <= c + 1; ++m) lengths.push_back(m);
+  for (int m : lengths) {
+    const seq::Sequence q = cyc(m, 7, 0);
+    // The same cycle shifted (long high-scoring runs: the 8-bit rung
+    // saturates on the longer ones) and an unrelated cycle.
+    for (const seq::Sequence& r : {cyc(m + 11, 7, 3), cyc(200, 5, 1)})
+      for (GapModel gm : {GapModel::Affine, GapModel::Linear})
+        for (bool tb : {false, true}) {
+          const std::string what = "m " + std::to_string(m) + " n " +
+                                   std::to_string(r.length()) + " gap " +
+                                   std::to_string(static_cast<int>(gm)) +
+                                   " tb " + std::to_string(tb);
+          AlignConfig cfg = base_config();
+          cfg.gap_model = gm;
+          cfg.traceback = tb;
+          cfg.delivery = ScoreDelivery::Fill;
+          const Alignment fill = diag_align(q, r, cfg, ws_);
+          cfg.delivery = ScoreDelivery::Shuffle;
+          const Alignment got = diag_align(q, r, cfg, ws_);
+          EXPECT_EQ(got.saturated, fill.saturated) << what;
+          EXPECT_EQ(got.score, fill.score) << what;
+          EXPECT_EQ(got.width_used, fill.width_used) << what;
+          EXPECT_EQ(got.stats.cells, fill.stats.cells) << what;
+          EXPECT_EQ(got.stats.scalar_cells, fill.stats.scalar_cells) << what;
+          if (got.saturated) continue;
+          const Alignment ref = ref_align(q, r, cfg);
+          EXPECT_EQ(got.score, ref.score) << what;
+          EXPECT_EQ(got.end_query, ref.end_query) << what;
+          EXPECT_EQ(got.end_ref, ref.end_ref) << what;
+          if (tb && ref.score > 0) {
+            EXPECT_EQ(got.begin_query, ref.begin_query) << what;
+            EXPECT_EQ(got.begin_ref, ref.begin_ref) << what;
+            EXPECT_EQ(got.cigar, ref.cigar) << what;
+          }
+        }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, DiagKernelTest,
                          ::testing::ValuesIn(kernel_params()), param_name);
 
@@ -482,6 +545,28 @@ TEST(DiagDispatch, RejectsAdaptiveWidthAtKernelLevel) {
   DiagRequest rq;
   EXPECT_THROW(run_diag_kernel(rq, simd::Isa::Scalar, Width::Adaptive),
                std::invalid_argument);
+}
+
+// Auto score delivery: Shuffle on AVX-512-VBMI hosts without any timing,
+// a calibrated Gather or Fill elsewhere; a pin wins over both.
+TEST(DiagDispatch, AutoDeliveryIsShuffleOnVbmiAndAPinWins) {
+  if (simd::isa_available(simd::Isa::Avx2)) {
+    EXPECT_NE(resolved_delivery(simd::Isa::Avx2), ScoreDelivery::Shuffle);
+    set_delivery_override(simd::Isa::Avx2, ScoreDelivery::Fill);
+    EXPECT_EQ(resolved_delivery(simd::Isa::Avx2), ScoreDelivery::Fill);
+    set_delivery_override(simd::Isa::Avx2, ScoreDelivery::Auto);
+  }
+  if (!simd::isa_available(simd::Isa::Avx512) ||
+      !simd::cpu_features().avx512vbmi)
+    GTEST_SKIP() << "needs AVX-512-VBMI";
+  set_delivery_override(simd::Isa::Avx512, ScoreDelivery::Auto);
+  EXPECT_EQ(resolved_delivery(simd::Isa::Avx512), ScoreDelivery::Shuffle);
+  for (ScoreDelivery pin : {ScoreDelivery::Gather, ScoreDelivery::Fill}) {
+    set_delivery_override(simd::Isa::Avx512, pin);
+    EXPECT_EQ(resolved_delivery(simd::Isa::Avx512), pin);
+  }
+  set_delivery_override(simd::Isa::Avx512, ScoreDelivery::Auto);
+  EXPECT_EQ(resolved_delivery(simd::Isa::Avx512), ScoreDelivery::Shuffle);
 }
 
 TEST(DiagDispatch, AutoIsaResolvesAndRuns) {
